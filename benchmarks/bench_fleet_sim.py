@@ -9,8 +9,7 @@ networks per plane pass.  This benchmark measures that claim directly:
 * **scalar leg** — replay a handful of lanes through
   :class:`repro.cfsm.network.NetworkSimulator` under the *same* stimulus
   stream and time reactions/second;
-* **fleet legs** — run the whole fleet through the int-plane backend
-  (and the numpy uint64-word backend when numpy is importable) and time
+* **fleet leg** — run the whole fleet on int planes and time
   reactions/second; ``speedup`` is fleet over scalar;
 * **cross-check** — sampled lanes must be bit-identical to the scalar
   simulator (states, flags, value buffers, lost-event and reaction
@@ -43,7 +42,6 @@ from repro.fleet import (
     check_lanes,
     compile_network,
     default_spec,
-    numpy_available,
     run_fleet,
 )
 from repro.fleet.crosscheck import materialize_stream
@@ -99,17 +97,8 @@ def _scalar_leg(network, compiled, spec, config, lanes):
     }
 
 
-def _fleet_leg(network, compiled, config, backend, scalar_rps):
-    leg_config = FleetConfig(
-        instances=config.instances,
-        steps=config.steps,
-        seed=config.seed,
-        jobs=config.jobs,
-        backend=backend,
-        lanes_per_shard=config.lanes_per_shard,
-        spec=config.spec,
-    )
-    summary = run_fleet(network, leg_config, compiled=compiled)
+def _fleet_leg(network, compiled, config, scalar_rps):
+    summary = run_fleet(network, config, compiled=compiled)
     rps = summary["reactions_per_sec"]
     return {
         "reactions": summary["reactions"],
@@ -117,7 +106,7 @@ def _fleet_leg(network, compiled, config, backend, scalar_rps):
                         6),
         "reactions_per_sec": round(rps, 1),
         "speedup": round(rps / scalar_rps, 2) if scalar_rps else 0.0,
-    }, summary["digest"]
+    }
 
 
 def run_report(smoke=False):
@@ -132,28 +121,23 @@ def run_report(smoke=False):
         steps=sizes["steps"],
         seed=0,
         jobs=1,
-        backend="int",
         spec=spec,
     )
 
     scalar = _scalar_leg(
         network, compiled, spec, config, sizes["scalar_lanes"]
     )
-    backends = {}
-    backends["int"], _ = _fleet_leg(
-        network, compiled, config, "int", scalar["reactions_per_sec"]
-    )
-    if numpy_available():
-        backends["numpy"], _ = _fleet_leg(
-            network, compiled, config, "numpy", scalar["reactions_per_sec"]
+    backends = {
+        "int": _fleet_leg(
+            network, compiled, config, scalar["reactions_per_sec"]
         )
+    }
 
     jobs4_config = FleetConfig(
         instances=config.instances,
         steps=config.steps,
         seed=config.seed,
         jobs=4,
-        backend="int",
         lanes_per_shard=max(64, config.instances // 4),
         spec=spec,
     )
@@ -165,7 +149,6 @@ def run_report(smoke=False):
         steps=jobs4_config.steps,
         seed=jobs4_config.seed,
         jobs=1,
-        backend="int",
         lanes_per_shard=jobs4_config.lanes_per_shard,
         spec=spec,
     )

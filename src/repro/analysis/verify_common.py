@@ -128,12 +128,6 @@ class RtosVerifyContext:
         self.machines = list(machines)
         self.config = config if config is not None else RtosConfig()
 
-    def software_machines(self) -> list:
-        return [
-            m for m in self.machines
-            if m.name not in self.config.hw_machines
-        ]
-
     def task_of(self, machine_name: str) -> Optional[str]:
         """Task name a software machine runs in (chains fuse names)."""
         if machine_name in self.config.hw_machines:

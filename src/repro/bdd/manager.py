@@ -471,35 +471,6 @@ class BddManager:
         self._count_of_var[var] -= 1
         self._allocated -= 1
 
-    def _link(self, var: int, nid: int) -> None:
-        """Insert ``nid`` (fields already set) into ``var``'s subtable."""
-        buckets = self._buckets[var]
-        mask = len(buckets) - 1
-        slot = (
-            (self._lo[nid] * 0x9E3779B1) ^ (self._hi[nid] * 0x45D9F3B)
-        ) & mask
-        self._next[nid] = buckets[slot]
-        buckets[slot] = nid
-        count = self._count_of_var[var] + 1
-        self._count_of_var[var] = count
-        self._allocated += 1
-        if count > (mask + 1) << 1:
-            self._grow_subtable(var)
-
-    def _lookup(self, var: int, lo: int, hi: int) -> Optional[int]:
-        """Find the slot of ``(var, lo, hi)`` in the subtable, if present."""
-        buckets = self._buckets[var]
-        n = buckets[
-            ((lo * 0x9E3779B1) ^ (hi * 0x45D9F3B)) & (len(buckets) - 1)
-        ]
-        nxt = self._next
-        lo_arr, hi_arr = self._lo, self._hi
-        while n:
-            if lo_arr[n] == lo and hi_arr[n] == hi:
-                return n
-            n = nxt[n]
-        return None
-
     def _grow_subtable(self, var: int) -> None:
         """Double ``var``'s bucket array and rehash its chains."""
         old = self._buckets[var]
@@ -955,14 +926,6 @@ class BddManager:
         result back to handle-level code.
         """
         return Function(self, edge)
-
-    def not_id(self, edge: int) -> int:
-        """Negation of a raw edge (a bit flip)."""
-        return edge ^ 1
-
-    def ite_ids(self, f: int, g: int, h: int) -> int:
-        """ITE over raw edges."""
-        return self._ite(f, g, h)
 
     def and_ids(self, f: int, g: int) -> int:
         """AND over raw edges."""
@@ -1432,15 +1395,6 @@ class BddManager:
     # Garbage collection
     # ------------------------------------------------------------------
 
-    def live_roots(self) -> Set[int]:
-        """Root edges of all live handles."""
-        roots: Set[int] = set()
-        for ref in list(self._handles.values()):
-            handle = ref()
-            if handle is not None:
-                roots.add(handle.id)
-        return roots
-
     def live_node_count(self) -> int:
         """Non-terminal slots holding references, in O(1).
 
@@ -1450,11 +1404,6 @@ class BddManager:
         swaps without collecting.
         """
         return self._live_count
-
-    def live_nodes_at_level(self, level: int) -> int:
-        """Live physical node count of one level, in O(1)."""
-        var = self._var_at_level[level]
-        return self._count_of_var[var] - self._dead_of_var[var]
 
     def collect(self) -> int:
         """Reclaim unreferenced nodes; returns nodes freed.

@@ -551,7 +551,6 @@ def _cmd_fleet(args) -> int:
         steps=args.steps,
         seed=args.seed,
         jobs=args.jobs,
-        backend=args.backend,
         lanes_per_shard=args.lanes_per_shard,
         spec=spec,
     )
@@ -571,7 +570,7 @@ def _cmd_fleet(args) -> int:
     print(
         f"{summary['network']}: {summary['instances']:,} instances x "
         f"{summary['steps']:,} steps on {summary['shards']} shard(s) "
-        f"(jobs={summary['jobs']}, backend={summary['backend']})"
+        f"(jobs={summary['jobs']})"
     )
     print(
         f"  {summary['reactions']:,} reactions "
@@ -1011,10 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="run shards on an N-worker process pool (results "
                         "are identical for any N)")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "int", "numpy"],
-                   help="plane representation: arbitrary-precision ints, "
-                        "numpy uint64 words, or auto-select")
     p.add_argument("--lanes-per-shard", type=int, default=4096,
                    help="lanes per shard (fixed blocks, independent of "
                         "--jobs)")

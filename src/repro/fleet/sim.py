@@ -39,7 +39,7 @@ from ..obs.context import TraceContext
 from ..pipeline.parallel import make_executor
 from ..pipeline.trace import BuildTrace, TraceEvent
 from .kernel import CompiledNetwork, compile_network
-from .lanes import Backend, LaneCounter, make_backend, select
+from .lanes import IntBackend, LaneCounter, select
 from .stimulus import StimulusSpec, StimulusStream, default_spec, shard_seed
 
 __all__ = [
@@ -61,7 +61,6 @@ class FleetConfig:
     steps: int = 100
     seed: int = 0
     jobs: int = 1
-    backend: str = "auto"  # "auto" | "int" | "numpy"
     lanes_per_shard: int = DEFAULT_LANES_PER_SHARD
     spec: Optional[StimulusSpec] = None
 
@@ -84,7 +83,7 @@ class FleetShard:
     def __init__(
         self,
         compiled: CompiledNetwork,
-        backend: Backend,
+        backend: IntBackend,
         spec: StimulusSpec,
         seed: int,
     ):
@@ -333,7 +332,7 @@ class FleetShardTask:
                 span = stack.enter_context(
                     trace.span(f"shard-{self.shard_index:03d}", "fleet.shard")
                 )
-            backend = make_backend(self.config.backend, self.lanes)
+            backend = IntBackend(self.lanes)
             shard = FleetShard(
                 self.compiled,
                 backend,
@@ -349,7 +348,6 @@ class FleetShardTask:
                     {
                         "lanes": self.lanes,
                         "steps": self.config.steps,
-                        "backend": backend.name,
                         "fleet_reactions": reactions,
                         "fleet_lost_events": lost,
                     }
@@ -465,7 +463,6 @@ def run_fleet(
         "steps": config.steps,
         "seed": config.seed,
         "jobs": config.jobs,
-        "backend": config.backend,
         "lanes_per_shard": config.lanes_per_shard,
         "shards": len(outcomes),
         "kernel_ops": compiled.op_count,

@@ -10,8 +10,8 @@ Determinism contract (load-bearing for the cross-check and the
 ``--jobs`` invariance tests):
 
 * planes are always drawn as Python ints via
-  :meth:`random.Random.getrandbits` and converted through the backend,
-  so the int and numpy backends see byte-identical streams;
+  :meth:`random.Random.getrandbits`, one draw per plane, so a shard's
+  stream depends on its seed alone;
 * lanes are partitioned into fixed blocks of ``lanes_per_shard``
   **independent of the worker count**, and each shard's stream is seeded
   from ``(seed, shard_index)`` alone — splitting the same fleet over 1
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..cfsm.network import Network
-from .lanes import Backend, Plane, select
+from .lanes import IntBackend, Plane
 
 __all__ = [
     "EventStimulus",
@@ -143,7 +143,7 @@ def load_spec(path: str, network: Network) -> StimulusSpec:
     return spec
 
 
-def _lt_const(backend: Backend, planes: List[Plane], threshold: int) -> Plane:
+def _lt_const(backend: IntBackend, planes: List[Plane], threshold: int) -> Plane:
     """Plane of lanes whose ``len(planes)``-bit value is ``< threshold``."""
     bits = len(planes)
     if threshold <= 0:
@@ -163,7 +163,7 @@ def _lt_const(backend: Backend, planes: List[Plane], threshold: int) -> Plane:
 
 
 def _add_const(
-    backend: Backend, planes: List[Plane], value: int, width: int
+    backend: IntBackend, planes: List[Plane], value: int, width: int
 ) -> List[Plane]:
     """Ripple-add a non-negative constant onto unsigned value planes."""
     ones = backend.ones
@@ -193,7 +193,7 @@ class StimulusStream:
         self,
         spec: StimulusSpec,
         widths: Dict[str, Optional[int]],
-        backend: Backend,
+        backend: IntBackend,
         seed: int,
     ):
         self.backend = backend
@@ -229,9 +229,3 @@ class StimulusStream:
                 values = _add_const(backend, planes, lo, width + 1)
             out.append((name, presence, values))
         return out
-
-    def lane_value(self, values: List[Plane], lane: int) -> int:
-        """Scalar value a lane reads from the value planes (non-negative)."""
-        return sum(
-            self.backend.lane_bit(p, lane) << i for i, p in enumerate(values)
-        )

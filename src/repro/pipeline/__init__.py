@@ -34,7 +34,6 @@ from .parallel import (
     ModuleBuildOutcome,
     ModuleBuildTask,
     PersistentProcessExecutor,
-    ProcessExecutor,
     SerialExecutor,
     make_executor,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ModuleBuildOutcome",
     "Executor",
     "SerialExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
     "make_executor",
 ]

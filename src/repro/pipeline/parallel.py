@@ -21,7 +21,9 @@ historical in-process flow.
 
 from __future__ import annotations
 
+import atexit
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -34,7 +36,6 @@ __all__ = [
     "ModuleBuildOutcome",
     "Executor",
     "SerialExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
     "make_executor",
 ]
@@ -134,31 +135,6 @@ class SerialExecutor(Executor):
         return [task.run(keep_result=True) for task in tasks]
 
 
-class ProcessExecutor(Executor):
-    """A ``concurrent.futures`` process pool over the tasks.
-
-    Results are collected with ``Executor.map``, which preserves task
-    order regardless of completion order.  With one task (or one job) the
-    pool is skipped entirely — no point paying interpreter start-up.
-    """
-
-    def __init__(self, jobs: int):
-        if jobs < 2:
-            raise ValueError("ProcessExecutor needs jobs >= 2")
-        self.jobs = int(jobs)
-
-    def run(self, tasks: List[Any]) -> List[Any]:
-        if len(tasks) <= 1:
-            return [task.run(keep_result=False) for task in tasks]
-        import concurrent.futures
-
-        workers = min(self.jobs, len(tasks))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers
-        ) as pool:
-            return list(pool.map(_worker, tasks))
-
-
 @dataclass
 class _PingTask:
     """A no-op task used to prewarm pool workers and learn their pids."""
@@ -169,15 +145,15 @@ class _PingTask:
 
 
 class PersistentProcessExecutor(Executor):
-    """A long-lived process pool with a ``submit`` API.
+    """A long-lived ``concurrent.futures`` process pool with a ``submit`` API.
 
-    The batch executors above spin a pool up per call and tear it down —
-    the right shape for one build, the wrong one for a daemon serving a
-    stream of requests.  This executor keeps its workers alive across
-    submissions (so per-worker warm state — calibrated cost params, BDD
-    manager pools — pays off), accepts the same task protocol
-    (``run(keep_result) -> outcome``), and exposes the worker pids so a
-    service can assert none leaked after shutdown.
+    The one process executor.  Workers stay alive across batches, so
+    per-worker warm state (calibrated cost params, BDD manager pools)
+    pays off and a build or a daemon request pays no interpreter
+    start-up.  It accepts the task protocol (``run(keep_result) ->
+    outcome``), keeps task order in :meth:`run` whatever the completion
+    order, and exposes the worker pids so a caller can assert none
+    leaked after shutdown.
 
     ``initializer`` runs once in each worker as it starts (import and
     calibration prewarming); :meth:`prewarm` forces all workers into
@@ -200,6 +176,9 @@ class PersistentProcessExecutor(Executor):
         return self._pool.submit(_worker, task)
 
     def run(self, tasks: List[Any]) -> List[Any]:
+        """Run a batch in task order; one task skips the pool entirely."""
+        if len(tasks) <= 1:
+            return [task.run(keep_result=False) for task in tasks]
         futures = [self.submit(task) for task in tasks]
         return [future.result() for future in futures]
 
@@ -216,12 +195,48 @@ class PersistentProcessExecutor(Executor):
             if process.pid is not None
         )
 
+    @property
+    def broken(self) -> bool:
+        """True once a worker died: every later submit would fail."""
+        return bool(getattr(self._pool, "_broken", False))
+
     def shutdown(self, wait: bool = True) -> None:
         self._pool.shutdown(wait=wait)
 
 
+_shared_lock = threading.Lock()
+_shared: Optional[PersistentProcessExecutor] = None
+_shared_pid: Optional[int] = None
+
+
 def make_executor(jobs: int = 1) -> Executor:
-    """``jobs <= 1`` → serial in-process; otherwise a process pool."""
+    """``jobs <= 1`` → serial in-process; otherwise the shared pool.
+
+    The shared :class:`PersistentProcessExecutor` is created on first
+    use and rebuilt when ``jobs`` changes or after a worker died (the
+    batch that saw the death re-raises ``BrokenProcessPool``; the next
+    call gets fresh workers).  A forked child never reuses the pool
+    object it inherited from its parent.
+    """
+    global _shared, _shared_pid
     if jobs <= 1:
         return SerialExecutor()
-    return ProcessExecutor(jobs)
+    with _shared_lock:
+        pool = _shared if _shared_pid == os.getpid() else None
+        if pool is not None and (pool.jobs != jobs or pool.broken):
+            pool.shutdown(wait=True)
+            pool = None
+        if pool is None:
+            pool = PersistentProcessExecutor(jobs)
+            _shared, _shared_pid = pool, os.getpid()
+        return pool
+
+
+@atexit.register
+def _shutdown_shared() -> None:
+    """Join the shared pool while the interpreter is still whole."""
+    global _shared
+    with _shared_lock:
+        if _shared is not None and _shared_pid == os.getpid():
+            _shared.shutdown(wait=True)
+        _shared = None

@@ -58,11 +58,6 @@ class Vertex:
     def is_switch(self) -> bool:
         return self.kind == TEST and self.switch_state is not None
 
-    def feasible_children(self) -> Iterator[int]:
-        for i, child in enumerate(self.children):
-            if not (self.infeasible and self.infeasible[i]):
-                yield child
-
 
 @dataclass
 class EvalResult:

@@ -80,9 +80,6 @@ class ReactiveFunction:
     def output_vars(self) -> List[int]:
         return list(self.encoding.output_vars)
 
-    def condition_of(self, action: Action) -> Function:
-        return self.conditions[action.key()]
-
     def conditions_by_var(self, var: int) -> Function:
         return self.conditions[self.encoding.action_of_var(var).key()]
 

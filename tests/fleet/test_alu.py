@@ -16,9 +16,7 @@ from repro.fleet import (
     BitVec,
     Circuit,
     IntBackend,
-    NumpyBackend,
     build_expr,
-    numpy_available,
 )
 
 OPS = list(BINARY_OPS.keys())
@@ -100,13 +98,6 @@ def test_random_expressions_int_backend():
     rng = random.Random(1234)
     for _ in range(60):
         check_case(rng, IntBackend, 37, depth=4)
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-def test_random_expressions_numpy_backend():
-    rng = random.Random(4321)
-    for _ in range(25):
-        check_case(rng, NumpyBackend, 70, depth=4)
 
 
 def test_division_by_zero_lanes_yield_zero():

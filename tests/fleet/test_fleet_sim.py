@@ -2,8 +2,7 @@
 
 The load-bearing contract: every lane of a batched run is bit-for-bit
 the trajectory the scalar :class:`NetworkSimulator` produces under the
-same stimulus — and the result is invariant under ``--jobs`` and the
-plane backend.
+same stimulus — and the result is invariant under ``--jobs``.
 """
 
 import pytest
@@ -16,16 +15,10 @@ from repro.fleet import (
     check_lanes,
     compile_network,
     default_spec,
-    numpy_available,
     random_campaign,
     run_fleet,
     shard_seed,
 )
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not importable"
-)
-
 
 @pytest.fixture(scope="module")
 def dashboard():
@@ -39,15 +32,7 @@ def compiled(dashboard):
 
 class TestLaneExactness:
     def test_every_dashboard_lane_matches_scalar(self, dashboard, compiled):
-        config = FleetConfig(instances=48, steps=30, seed=7, backend="int")
-        mismatches = check_lanes(
-            dashboard, config, range(48), compiled=compiled
-        )
-        assert mismatches == []
-
-    @needs_numpy
-    def test_numpy_lanes_match_scalar(self, dashboard, compiled):
-        config = FleetConfig(instances=48, steps=30, seed=7, backend="numpy")
+        config = FleetConfig(instances=48, steps=30, seed=7)
         mismatches = check_lanes(
             dashboard, config, range(48), compiled=compiled
         )
@@ -73,7 +58,7 @@ class TestDeterminism:
         for jobs in (1, 4):
             config = FleetConfig(
                 instances=96, steps=25, seed=11, jobs=jobs,
-                backend="int", lanes_per_shard=32,
+                lanes_per_shard=32,
             )
             results[jobs] = run_fleet(dashboard, config, compiled=compiled)
         assert results[1]["digest"] == results[4]["digest"]
@@ -97,18 +82,6 @@ class TestDeterminism:
             for seed in (5, 6)
         ]
         assert runs[0]["digest"] != runs[1]["digest"]
-
-    @needs_numpy
-    def test_backends_are_digest_identical(self, dashboard, compiled):
-        digests = {}
-        for backend in ("int", "numpy"):
-            config = FleetConfig(
-                instances=70, steps=25, seed=9, backend=backend
-            )
-            digests[backend] = run_fleet(
-                dashboard, config, compiled=compiled
-            )["digest"]
-        assert digests["int"] == digests["numpy"]
 
     def test_shard_seed_mix(self):
         seeds = {shard_seed(0, i) for i in range(100)}
