@@ -45,6 +45,7 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.fleet.crosscheck import materialize_stream
+from repro.obs.schema import SIM_BENCH_FORMAT
 
 if __name__ == "__main__":  # script mode runs from anywhere
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -161,7 +162,7 @@ def run_report(smoke=False):
     mismatches = check_lanes(network, config, sample, compiled=compiled)
 
     doc = {
-        "format": "repro-sim-bench/v1",
+        "format": SIM_BENCH_FORMAT,
         "smoke": smoke,
         "network": network.name,
         "instances": config.instances,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
+from ..obs.schema import VERIFY_REPORT_FORMAT as VERIFY_SCHEMA_ID
 from .diagnostics import Report, Severity
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
 ]
 
 JSON_SCHEMA_ID = "repro-lint-report/v1"
-VERIFY_SCHEMA_ID = "repro-verify-report/v1"
 
 _SARIF_LEVEL = {
     Severity.ERROR: "error",

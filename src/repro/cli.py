@@ -25,9 +25,10 @@ Subcommands:
 * ``simulate`` — build a network and run it on the RTOS simulator under a
   stimulus scenario, with optional run-trace (``repro-run-trace/v1``),
   Chrome trace-event export, metrics dump, and latency probes;
-* ``report``   — summarize any repro trace JSON file (build or run trace)
-  as a human-readable report: slowest passes, cache hit rate, per-task
-  CPU share, lost events, latency histograms;
+* ``report``   — validate any repro JSON document (build or run trace,
+  benchmark report, bench history, fuzz campaign or repro, verify report)
+  and summarize it as a human-readable report: slowest passes, cache hit
+  rate, per-task CPU share, lost events, latency histograms, bench tables;
 * ``fleet``    — fleet-scale batched simulation: compile the network's
   synthesized evaluators into bit-sliced kernels and step thousands of
   instances at once (one fleet instance per bit lane), sharded over the
@@ -902,9 +903,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
-        "report", help="summarize a repro trace JSON file (build or run)"
+        "report", help="validate and summarize any repro JSON document"
     )
-    p.add_argument("trace", help="trace JSON file (build or run trace)")
+    p.add_argument("trace", help="document JSON file: build or run trace, BENCH_*.json, "
+                   "bench history, fuzz campaign or repro, or verify report")
     p.add_argument("--top", type=int, default=10,
                    help="rows per top-N table")
     p.add_argument("--no-validate", action="store_true",

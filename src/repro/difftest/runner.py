@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.context import TraceContext
+from ..obs.schema import DIFFTEST_REPORT_FORMAT as DIFFTEST_FORMAT
 from ..pipeline.parallel import make_executor
 from ..pipeline.trace import BuildTrace, TraceEvent
 from .generator import CaseConfig, generate_case
@@ -47,8 +48,6 @@ __all__ = [
     "load_repro_file",
     "replay_file",
 ]
-
-DIFFTEST_FORMAT = "repro-difftest/v1"
 
 # Rotated per case index: every synthesis scheme takes part in the
 # campaign, so an ordering-scheme regression cannot hide behind the

@@ -17,11 +17,14 @@ against (the tentpole of the observability PRs):
   with per-worker lanes on build traces;
 * :mod:`repro.obs.profile` — the :class:`SiftProfile` collector for the
   BDD reordering loop, including engine-counter timelines;
-* :mod:`repro.obs.schema` — structural validators for the trace documents,
-  the engine-benchmark report, and the bench-history trend document;
+* :mod:`repro.obs.schema` — one declarative spec per document format
+  (build and run traces, the BDD, fleet-simulation and serving benchmark
+  reports, the bench-history trend document, difftest campaigns and
+  repros, and verify reports) behind the ``validate_*`` functions;
 * :mod:`repro.obs.history` — the ``repro-bench-history/v1`` merger and
   regression gate behind ``repro bench-history``;
-* :mod:`repro.obs.report` — the shared reporter behind ``repro report``.
+* :mod:`repro.obs.report` — the shared reporter behind ``repro report``,
+  one renderer per spec'd format.
 
 Nothing here imports the rest of ``repro``, so any layer can depend on it.
 """
@@ -57,6 +60,7 @@ from .history import (
 )
 from .profile import SiftProfile, SiftSample
 from .report import (
+    render_bdd_bench,
     render_build_report,
     render_difftest_report,
     render_difftest_repro,
@@ -149,6 +153,7 @@ __all__ = [
     "render_difftest_report",
     "render_difftest_repro",
     "render_verify_report",
+    "render_bdd_bench",
     "render_sim_bench",
     "render_serve_bench",
     "render_report",

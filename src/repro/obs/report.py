@@ -1,33 +1,34 @@
-"""One reporter for both trace formats (the ``repro report`` backend).
+"""One reporter for every document format (the ``repro report`` backend).
 
-Given any trace document — a build trace from ``repro build --trace`` or a
-run trace from ``repro simulate --run-trace`` — render the summary tables
-the paper reports ad hoc: where the synthesis wall time went and how warm
-the cache was (build), and how the CPU was shared, which events were lost,
-and what the observed latencies were (run).
+:data:`RENDERERS` holds one renderer per format :mod:`repro.obs.schema` has a
+spec for: the build-trace wall time and cache tables, the run-trace CPU share,
+lost events and latencies, and the headline tables of the other documents.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 from .core import Histogram, read_trace_file
-from .runtrace import RunTrace
+from .history import render_history
+from .runtrace import RUN_TRACE_FORMAT, RunTrace
 from .schema import (
+    BDD_BENCH_FORMAT,
     BENCH_HISTORY_FORMAT,
     BUILD_TRACE_FORMAT,
     DIFFTEST_REPORT_FORMAT,
     DIFFTEST_REPRO_FORMAT,
     SERVE_BENCH_FORMAT,
     SIM_BENCH_FORMAT,
+    SPECS,
     VERIFY_REPORT_FORMAT,
     validate_trace,
 )
 
 __all__ = ["render_build_report", "render_run_report",
            "render_difftest_report", "render_difftest_repro",
-           "render_verify_report", "render_sim_bench",
-           "render_serve_bench", "render_report", "report_file"]
+           "render_verify_report", "render_bdd_bench", "render_sim_bench",
+           "render_serve_bench", "render_report", "report_file", "RENDERERS"]
 
 
 def _rule(title: str) -> str:
@@ -419,6 +420,42 @@ def render_verify_report(doc: Dict[str, Any], top: int = 10) -> str:
 
 
 # ----------------------------------------------------------------------
+# BDD-engine benchmark reports
+# ----------------------------------------------------------------------
+
+
+def render_bdd_bench(doc: Dict[str, Any], top: int = 10) -> str:
+    """Summarize a ``repro-bdd-bench/v2`` report (BENCH_bdd.json)."""
+    del top  # uniform renderer signature; this report has no top-N table
+    lines = [_rule("bdd engine bench" + (" (smoke)" if doc.get("smoke") else ""))]
+    lines.append(f"  {'workload':18s} {'ops':>8s} {'wall s':>9s} {'ops/s':>12s}")
+    for name, wl in sorted(doc.get("workloads", {}).items()):
+        lines.append(
+            f"  {name:18s} {wl.get('ops', 0):8,d} {wl.get('wall_s', 0.0):9.4f} "
+            f"{wl.get('ops_per_sec', 0.0):12,.1f}"
+        )
+    lines.append("")
+    lines.append(f"  {'sift':14s} {'swaps':>7s} {'skips':>7s} {'collects':>8s} {'size':>7s} "
+                 f"{'wall s':>8s} {'speedup':>8s}")
+    for name, sc in sorted(doc.get("sift", {}).items()):
+        speedup = f"{sc['speedup']:.2f}x" if "speedup" in sc else "-"
+        lines.append(
+            f"  {name:14s} {sc.get('swaps', 0):7d} {sc.get('swap_skips', 0):7d} "
+            f"{sc.get('collects', 0):8d} {sc.get('final_size', 0):7d} "
+            f"{sc.get('wall_s', 0.0):8.3f} {speedup:>8s}"
+        )
+    store = doc.get("store", {})
+    lines.append("")
+    lines.append(
+        f"store: {store.get('allocated_nodes', 0):,.0f} nodes in "
+        f"{store.get('allocated_slots', 0):,.0f} slots, {store.get('store_bytes', 0):,.0f} bytes "
+        f"({store.get('bytes_per_node', 0):.1f} B/node), "
+        f"{store.get('complement_edge_share', 0):.1%} complemented lo-edges"
+    )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
 # Fleet-simulation benchmark reports
 # ----------------------------------------------------------------------
 
@@ -539,41 +576,36 @@ def render_serve_bench(doc: Dict[str, Any], top: int = 10) -> str:
 # Dispatch
 # ----------------------------------------------------------------------
 
+#: One renderer per format in :data:`repro.obs.schema.SPECS`.
+RENDERERS: Dict[str, Callable[..., str]] = {
+    BUILD_TRACE_FORMAT: render_build_report,
+    RUN_TRACE_FORMAT: render_run_report,
+    BDD_BENCH_FORMAT: render_bdd_bench,
+    SIM_BENCH_FORMAT: render_sim_bench,
+    SERVE_BENCH_FORMAT: render_serve_bench,
+    BENCH_HISTORY_FORMAT: lambda doc, top=10: render_history(doc),
+    DIFFTEST_REPORT_FORMAT: render_difftest_report,
+    DIFFTEST_REPRO_FORMAT: render_difftest_repro,
+    VERIFY_REPORT_FORMAT: render_verify_report,
+}
+if set(RENDERERS) != set(SPECS):
+    raise ImportError(f"formats without a renderer: {sorted(set(SPECS) - set(RENDERERS))}")
+
 
 def render_report(doc: Dict[str, Any], top: int = 10) -> str:
-    """Render the right report for any trace document."""
+    """Render the right report for any document with a spec'd format."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt == BUILD_TRACE_FORMAT:
-        return render_build_report(doc, top=top)
-    if fmt == RunTrace.FORMAT:
-        return render_run_report(doc, top=top)
-    if fmt == DIFFTEST_REPORT_FORMAT:
-        return render_difftest_report(doc, top=top)
-    if fmt == DIFFTEST_REPRO_FORMAT:
-        return render_difftest_repro(doc, top=top)
-    if fmt == VERIFY_REPORT_FORMAT:
-        return render_verify_report(doc, top=top)
-    if fmt == SIM_BENCH_FORMAT:
-        return render_sim_bench(doc, top=top)
-    if fmt == SERVE_BENCH_FORMAT:
-        return render_serve_bench(doc, top=top)
-    if fmt == BENCH_HISTORY_FORMAT:
-        from .history import render_history
-
-        return render_history(doc)
-    raise ValueError(f"unknown trace format {fmt!r}")
+    render = RENDERERS.get(fmt) if isinstance(fmt, str) else None
+    if render is None:
+        raise ValueError(f"unknown trace format {fmt!r}")
+    return render(doc, top=top)
 
 
 def report_file(path: str, top: int = 10, validate: bool = True) -> str:
     """Load ``path``, optionally validate it, and render its report."""
     _, doc = read_trace_file(path)
-    lines: List[str] = []
-    if validate:
-        errors = validate_trace(doc)
-        if errors:
-            raise ValueError(
-                f"{path}: invalid trace document:\n"
-                + "\n".join(f"  - {e}" for e in errors)
-            )
-    lines.append(render_report(doc, top=top))
-    return "\n".join(lines)
+    errors = validate_trace(doc) if validate else []
+    if errors:
+        listing = "\n".join(f"  - {e}" for e in errors)
+        raise ValueError(f"{path}: invalid trace document:\n{listing}")
+    return render_report(doc, top=top)

@@ -37,10 +37,9 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..obs import TraceDocument
 from ..obs.context import TraceContext, make_span_id, new_trace_id
+from ..obs.schema import BUILD_TRACE_FORMAT as TRACE_FORMAT
 
 __all__ = ["TraceEvent", "BuildTrace", "TRACE_FORMAT"]
-
-TRACE_FORMAT = "repro-build-trace/v1"
 
 #: ``kind`` values.  A ``pass`` event is one synthesis pass run by a
 #: PassManager; a ``cache`` event is one artifact-cache lookup (status

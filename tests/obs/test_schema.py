@@ -1,5 +1,7 @@
 """Structural validators for the trace and benchmark document formats."""
 
+import copy
+import glob
 import json
 import os
 
@@ -395,3 +397,104 @@ class TestSimBenchValidation:
         assert doc["crosscheck"]["lanes"] > 0
         assert doc["crosscheck"]["mismatches"] == 0
         assert doc["determinism"]["match"]
+
+
+# ----------------------------------------------------------------------
+# One registry: every spec'd format validates, renders and reports
+# ----------------------------------------------------------------------
+
+_COMMITTED_DOCS = sorted(
+    glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))
+    + glob.glob(os.path.join(REPO_ROOT, "tests", "difftest", "corpus", "*.json"))
+)
+_MUTANTS = (None, True, -1, 0, 1.5, "x", [], {}, [1])
+_DELETE = object()
+
+
+def _fixture_docs():
+    from ..serve.test_protocol import _valid_bench_doc as valid_serve_doc
+
+    docs = [valid_run_doc(), valid_build_doc(), valid_bench_doc(), valid_verify_doc(),
+            valid_sim_doc(), valid_serve_doc()]
+    for path in _COMMITTED_DOCS:
+        with open(path) as fh:
+            docs.append(json.load(fh))
+    return docs
+
+
+def _positions(node, path=()):
+    """Every key of every object and index of every list, depth first."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, value in items:
+        yield path + (key,)
+        yield from _positions(value, path + (key,))
+
+
+def _single_leaf_mutants(doc):
+    """``doc`` with one position deleted or replaced by one of ``_MUTANTS``."""
+    for path in list(_positions(doc)):
+        for value in (_DELETE,) + _MUTANTS:
+            mutant = copy.deepcopy(doc)
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+            yield path, value, mutant
+
+
+class TestRegistry:
+    def test_every_spec_has_a_renderer(self):
+        from repro.obs.report import RENDERERS
+        from repro.obs.schema import SPECS
+
+        assert set(SPECS) == set(RENDERERS)
+
+    @pytest.mark.parametrize(
+        "path", _COMMITTED_DOCS, ids=[os.path.basename(p) for p in _COMMITTED_DOCS]
+    )
+    def test_repro_report_accepts_committed_documents(self, path, capsys):
+        from repro.cli import main
+
+        assert main(["report", path]) == 0
+        assert capsys.readouterr().out.startswith("== ")
+
+    def test_bdd_bench_report_tables(self):
+        from repro.obs import render_report
+
+        text = render_report(valid_bench_doc())
+        assert text.startswith("== bdd engine bench")
+        assert "construction" in text and "stress" in text and "3.46x" in text
+        assert "complemented lo-edges" in text
+
+    def test_validated_documents_always_render(self):
+        """Single-leaf mutations of every fixture and committed document:
+        validation never raises, and whatever validates also renders."""
+        from repro.obs import render_report
+
+        checked = rendered = 0
+        for doc in _fixture_docs():
+            for path, value, mutant in _single_leaf_mutants(doc):
+                errors = validate_trace(mutant)
+                checked += 1
+                if not errors:
+                    assert isinstance(render_report(mutant), str), (path, value)
+                    rendered += 1
+        assert checked > 4000 and 0 < rendered < checked
+
+    def test_present_null_is_checked_like_any_value(self):
+        doc = valid_build_doc()
+        doc["events"][0]["wall_ms"] = None
+        assert any("wall_ms" in e for e in validate_build_trace(doc))
+        doc = valid_build_doc()
+        doc["summary"]["wall_ms"] = "12.5"
+        assert any("summary.wall_ms" in e for e in validate_build_trace(doc))
+
+    def test_run_event_fields_are_typed(self):
+        doc = valid_run_doc()
+        doc["events"][1]["task"] = 7
+        assert any("events[1].task" in e for e in validate_run_trace(doc))
