@@ -10,14 +10,15 @@ Two modes:
 
 * **pytest-benchmark** (``pytest benchmarks/bench_bdd_engine.py``) — the
   timing fixtures below;
-* **report script** (``python benchmarks/bench_bdd_engine.py --json
-  BENCH_bdd.json``) — emits the machine-readable ``repro-bdd-bench/v2``
-  document the repo tracks at its root.  ``--check REFERENCE`` additionally
-  compares the *deterministic* counters (sift swap/skip counts, collect()
-  calls, final sizes) against a committed reference and exits non-zero on
-  any regression — the CI gate.  ``REPRO_BENCH_SMOKE=1`` or ``--smoke``
-  shrinks the timed workloads (the deterministic sift scenarios always run
-  in full so the gate compares like with like).
+* **report script** (``python benchmarks/bench_bdd_engine.py [--json
+  BENCH_bdd.json] [--smoke]``) — emits the machine-readable
+  ``repro-bdd-bench/v2`` document the repo tracks at its root and exits
+  non-zero unless the *deterministic* counters (sift swap/skip counts,
+  collect() calls, final sizes) equal the ``bdd.*`` entries of
+  ``results/bench_history_reference.json`` — the CI gate.  Smoke mode
+  (``--smoke`` or ``REPRO_BENCH_SMOKE``) shrinks the timed workloads (the
+  deterministic sift scenarios always run in full so the gate compares
+  like with like).
 
 v2 additions over v1: a ``store`` section with the struct-of-arrays
 footprint (bytes per node) and complement-edge share; a
@@ -30,15 +31,12 @@ interaction-matrix fast path provably fires (the stress DNF makes every
 variable pair interact, so its ``swap_skips: 0`` is correct behavior).
 """
 
-import argparse
-import json
-import os
 import random
 import sys
 import time
 
 from repro.bdd import BddManager, apply_order, sift_to_convergence
-from repro.obs import BDD_BENCH_FORMAT, validate_bdd_bench
+from repro.obs import BDD_BENCH_FORMAT, bench_main
 
 # Pre-overhaul measurements of the sift scenarios below, taken on this
 # repository immediately before the kernel rewrite (refcounted GC,
@@ -340,68 +338,5 @@ def run_report(smoke=False):
     }
 
 
-def check_against_reference(report, reference):
-    """Compare deterministic sift counters against the committed reference.
-
-    Returns a list of regression strings (empty means the gate passes).
-    Wall-clock is intentionally not gated — only counted quantities.
-    """
-    problems = []
-    for name, ref in reference.get("sift", {}).items():
-        got = report["sift"].get(name)
-        if got is None:
-            problems.append(f"sift scenario {name!r} missing from report")
-            continue
-        for field in ("swaps", "swap_skips", "collects", "final_size"):
-            if got[field] != ref[field]:
-                problems.append(
-                    f"sift[{name}].{field}: {got[field]} != reference {ref[field]}"
-                )
-    return problems
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="PATH", default="BENCH_bdd.json",
-                        help="where to write the report document")
-    parser.add_argument("--check", metavar="REFERENCE", default=None,
-                        help="fail on counter regressions vs this reference JSON")
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrink timed workloads (or set REPRO_BENCH_SMOKE=1)")
-    args = parser.parse_args(argv)
-    smoke = args.smoke or os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-    report = run_report(smoke=smoke)
-    errors = validate_bdd_bench(report)
-    if errors:
-        for err in errors:
-            print(f"schema: {err}", file=sys.stderr)
-        return 1
-    with open(args.json, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.json}")
-    for name, scenario in report["sift"].items():
-        line = (
-            f"  sift[{name}]: {scenario['wall_s']}s, "
-            f"{scenario['swaps']} swaps ({scenario['swap_skips']} skipped), "
-            f"{scenario['collects']} collects, final {scenario['final_size']}"
-        )
-        if "speedup" in scenario:
-            line += f", {scenario['speedup']}x vs pre-overhaul"
-        print(line)
-
-    if args.check:
-        with open(args.check) as fh:
-            reference = json.load(fh)
-        problems = check_against_reference(report, reference)
-        if problems:
-            for p in problems:
-                print(f"REGRESSION: {p}", file=sys.stderr)
-            return 1
-        print(f"counters match {args.check}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(run_report, "BENCH_bdd.json"))

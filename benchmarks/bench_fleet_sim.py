@@ -21,12 +21,13 @@ Two entry points:
 
 * **pytest** (``pytest benchmarks/bench_fleet_sim.py``) — the
   assertion-backed checks below, reported to ``results/fleet_sim.txt``;
-* **report script** (``python benchmarks/bench_fleet_sim.py --json
-  BENCH_sim.json``) — the machine-readable ``repro-sim-bench/v1``
-  document the CI jobs feed ``repro bench-history --check`` (tracked
-  metric: the int-backend speedup, gated at >= 20x in full mode).
+* **report script** (``python benchmarks/bench_fleet_sim.py [--json
+  BENCH_sim.json] [--smoke]``) — the machine-readable ``repro-sim-bench/v1``
+  document, gated against the ``sim.*`` entries of
+  ``results/bench_history_reference.json`` (int-backend speedup >= 20x,
+  zero lane mismatches, the kernel op count) plus digest determinism.
 
-Smoke mode (``REPRO_BENCH_SMOKE=1`` or ``--smoke``): smaller fleet,
+Smoke mode (``--smoke`` or ``REPRO_BENCH_SMOKE``): smaller fleet,
 fewer steps, fewer scalar baseline lanes.
 """
 
@@ -45,18 +46,12 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.fleet.crosscheck import materialize_stream
+from repro.obs import bench_main
 from repro.obs.schema import SIM_BENCH_FORMAT
 
 if __name__ == "__main__":  # script mode runs from anywhere
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import write_report
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-
-#: The acceptance gate of full mode: the int-backend fleet must deliver
-#: at least this many times the scalar simulator's reactions/second on a
-#: >= 4096-instance dashboard fleet.  Smoke mode only requires > 1x.
-MIN_SPEEDUP = 20.0
 
 
 def _sizes(smoke):
@@ -205,43 +200,7 @@ def test_fleet_bench_document_is_valid_and_fast():
     write_report("fleet_sim", _report_lines(doc))
 
 
-def main(argv=None):
-    import argparse
-    import json
-
-    from repro.obs import assert_valid_trace, render_sim_bench
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="PATH", default="BENCH_sim.json",
-                        help="where to write the report document")
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrink workloads (or set REPRO_BENCH_SMOKE=1)")
-    args = parser.parse_args(argv)
-    smoke = args.smoke or SMOKE
-
-    doc = run_report(smoke=smoke)
-    assert_valid_trace(doc)
-    with open(args.json, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.json}")
-    print(render_sim_bench(doc))
-    failures = []
-    if doc["crosscheck"]["mismatches"]:
-        failures.append(f"{doc['crosscheck']['mismatches']} lane mismatches")
-    if not doc["determinism"]["match"]:
-        failures.append("jobs 1 vs jobs 4 digests diverged")
-    gate = MIN_SPEEDUP if not smoke else 1.0
-    if doc["backends"]["int"]["speedup"] < gate:
-        failures.append(
-            f"int speedup {doc['backends']['int']['speedup']}x "
-            f"below {gate}x gate"
-        )
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(run_report, "BENCH_sim.json", check=lambda doc: (
+        None if doc["determinism"]["match"] else "jobs 1 vs jobs 4 digests diverged"
+    )))

@@ -14,13 +14,14 @@ Two entry points:
 * **pytest** (``pytest benchmarks/bench_obs_overhead.py``) — the
   assertion-backed overhead checks below, reported to
   ``results/obs_overhead.txt``;
-* **report script** (``python benchmarks/bench_obs_overhead.py --json
-  BENCH_obs.json``) — the machine-readable observability figures the
-  ``obs-trace`` CI job feeds ``repro bench-history --check``: causal
-  build-trace overhead (obs-on vs obs-off wall clock), telemetry-bus
-  write+drain throughput, and merged ``--jobs 2`` trace shape/size.
+* **report script** (``python benchmarks/bench_obs_overhead.py [--json
+  BENCH_obs.json] [--smoke]``) — the machine-readable ``repro-obs-bench/v1``
+  figures, gated against the ``obs.*`` entries of
+  ``results/bench_history_reference.json``: causal build-trace overhead
+  (obs-on vs obs-off wall clock), telemetry-bus write+drain throughput,
+  and merged ``--jobs 2`` trace shape/size.
 
-Smoke mode (``REPRO_BENCH_SMOKE=1`` or ``--smoke``): shorter scenario,
+Smoke mode (``--smoke`` or ``REPRO_BENCH_SMOKE``): shorter scenario,
 fewer repeats.
 """
 
@@ -30,7 +31,7 @@ import time
 
 import pytest
 
-from repro.obs import MetricsRegistry, RunTrace
+from repro.obs import OBS_BENCH_FORMAT, MetricsRegistry, RunTrace, bench_main, smoke_from_env
 from repro.rtos import RtosConfig, RtosRuntime, Stimulus
 from repro.sgraph import synthesize
 from repro.target import K11, compile_sgraph
@@ -39,7 +40,7 @@ if __name__ == "__main__":  # script mode runs from anywhere
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import write_report
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+SMOKE = smoke_from_env()
 PULSES = 400 if SMOKE else 2_000
 REPEATS = 3 if SMOKE else 7
 
@@ -221,7 +222,7 @@ def run_report(smoke=False):
     repeats = 3 if smoke else 5
     records = 2_000 if smoke else 20_000
     return {
-        "format": "repro-obs-bench/v1",
+        "format": OBS_BENCH_FORMAT,
         "smoke": smoke,
         "build": _bench_build_overhead(repeats),
         "bus": _bench_bus_throughput(records),
@@ -229,40 +230,5 @@ def run_report(smoke=False):
     }
 
 
-def main(argv=None):
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="PATH", default="BENCH_obs.json",
-                        help="where to write the report document")
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrink workloads (or set REPRO_BENCH_SMOKE=1)")
-    args = parser.parse_args(argv)
-    smoke = args.smoke or SMOKE
-
-    report = run_report(smoke=smoke)
-    with open(args.json, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.json}")
-    build = report["build"]
-    print(
-        f"  build: bare {build['bare_wall_ms']}ms, traced "
-        f"{build['traced_wall_ms']}ms ({build['overhead_pct']:+.2f}%)"
-    )
-    bus = report["bus"]
-    print(
-        f"  bus: {bus['records']} records in {bus['wall_ms']}ms "
-        f"({bus['records_per_sec']}/s)"
-    )
-    shape = report["trace"]
-    print(
-        f"  merged --jobs 2 trace: {shape['events']} events on "
-        f"{shape['lanes']} lanes, {shape['json_bytes']} bytes"
-    )
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(run_report, "BENCH_obs.json"))

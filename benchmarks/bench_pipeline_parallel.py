@@ -14,30 +14,25 @@ cache once per module; the trace accounts one pass sequence per module on
 the cold build.  Wall-clock ratios are reported, not asserted — CI boxes
 (often 1 vCPU) make speedup assertions flaky.
 
-Smoke mode (``REPRO_BENCH_SMOKE=1``): dashboard network only, one
-repetition, pool of 2 — a few seconds end to end.
-
-Like ``bench_bdd_engine.py`` this file doubles as a report script:
-``python benchmarks/bench_pipeline_parallel.py --json BENCH_pipeline.json``
-emits the same rows as machine-readable JSON for the perf trajectory.
+Smoke mode (``REPRO_BENCH_SMOKE``): dashboard network only, one
+repetition, pool of 2 — a few seconds end to end.  The measured figures
+with repeats and spread come from ``perfbench`` (``build-serial``,
+``build-jobs``).
 """
 
-import argparse
-import json
-import os
-import sys
 import tempfile
 import time
 
 from repro.apps import abp_network, dashboard_network
 from repro.estimation import calibrate
 from repro.flow import build_system
+from repro.obs import smoke_from_env
 from repro.pipeline import ArtifactCache, BuildTrace
 from repro.target import K11
 
 from conftest import write_report
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+SMOKE = smoke_from_env()
 JOBS = 2 if SMOKE else 4
 REPEATS = 1 if SMOKE else 3
 
@@ -131,57 +126,3 @@ def test_pipeline_parallel_and_cache_scaling():
     # compilation, and measurement entirely.  Generous factor for CI noise.
     for row in rows:
         assert row["warm_ms"] < row["serial_ms"], row
-
-
-# ----------------------------------------------------------------------
-# report-script mode (BENCH_pipeline.json)
-# ----------------------------------------------------------------------
-
-
-def run_report(smoke=False):
-    global SMOKE, JOBS, REPEATS
-    SMOKE, JOBS, REPEATS = smoke, (2 if smoke else 4), (1 if smoke else 3)
-    params = calibrate(K11)
-    makers = [dashboard_network] if smoke else [dashboard_network, abp_network]
-    rows = []
-    for maker in makers:
-        row = _bench_network(maker, params)
-        row["warm_speedup"] = round(
-            row["serial_ms"] / max(row["warm_ms"], 1e-6), 2
-        )
-        for key in ("serial_ms", "parallel_ms", "warm_ms"):
-            row[key] = round(row[key], 3)
-        rows.append(row)
-    return {
-        "format": "repro-pipeline-bench/v1",
-        "smoke": smoke,
-        "jobs": JOBS,
-        "repeats": REPEATS,
-        "networks": rows,
-    }
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="PATH", default="BENCH_pipeline.json",
-                        help="where to write the report document")
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrink the workload (or set REPRO_BENCH_SMOKE=1)")
-    args = parser.parse_args(argv)
-    smoke = args.smoke or os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-    report = run_report(smoke=smoke)
-    with open(args.json, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.json}")
-    for row in report["networks"]:
-        print(
-            f"  {row['network']}: serial {row['serial_ms']}ms, "
-            f"jobs={report['jobs']} {row['parallel_ms']}ms, "
-            f"warm {row['warm_ms']}ms ({row['warm_speedup']}x)"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,14 +25,13 @@ Two entry points:
 
 * **pytest** (``pytest benchmarks/bench_serve.py``) — smoke-sized run of
   every leg with the assertions above (marked ``timing``);
-* **report script** (``python benchmarks/bench_serve.py --json
-  BENCH_serve.json``) — the machine-readable ``repro-serve-bench/v1``
-  document the serve CI job feeds ``repro bench-history --check``
-  (tracked metrics: ``serve.cache.warm_over_cold``,
-  ``serve.conformance.mismatches``, ``serve.soak.leaked_workers``,
-  ``serve.soak.pin_files``).
+* **report script** (``python benchmarks/bench_serve.py [--json
+  BENCH_serve.json] [--smoke]``) — the machine-readable
+  ``repro-serve-bench/v1`` document, gated against the ``serve.*`` entries
+  of ``results/bench_history_reference.json`` (warm/cold ratio, zero
+  conformance mismatches, every overflow request rejected, a clean soak).
 
-Smoke mode (``REPRO_BENCH_SMOKE=1`` or ``--smoke``): fewer clients,
+Smoke mode (``--smoke`` or ``REPRO_BENCH_SMOKE``): fewer clients,
 fewer requests per leg.
 """
 
@@ -46,17 +45,13 @@ import time
 
 import pytest
 
+from repro.obs import bench_main
 from repro.obs.schema import SERVE_BENCH_FORMAT
 from repro.serve import ServeClient, ServeConfig, serve_in_thread
 
 if __name__ == "__main__":  # script mode runs from anywhere
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import write_report
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-
-#: Full-mode acceptance gate: warm-cache serving throughput over cold.
-MIN_WARM_OVER_COLD = 3.0
 
 _DASH_MACHINES = ("wheel_filter", "speedo", "odometer", "tacho")
 
@@ -426,48 +421,5 @@ def test_serve_bench_document_is_valid_and_honest():
     write_report("serve_bench", _report_lines(doc))
 
 
-def main(argv=None):
-    import argparse
-    import json
-
-    from repro.obs import assert_valid_trace, render_serve_bench
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="PATH", default="BENCH_serve.json",
-                        help="where to write the report document")
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrink workloads (or set REPRO_BENCH_SMOKE=1)")
-    args = parser.parse_args(argv)
-    smoke = args.smoke or SMOKE
-
-    doc = run_report(smoke=smoke)
-    assert_valid_trace(doc)
-    with open(args.json, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.json}")
-    print(render_serve_bench(doc))
-    failures = []
-    if doc["conformance"]["mismatches"]:
-        failures.append(
-            f"{doc['conformance']['mismatches']} conformance mismatches"
-        )
-    if doc["backpressure"]["rejected"] != doc["backpressure"]["attempts"]:
-        failures.append("saturated daemon accepted overflow requests")
-    if doc["soak"]["errors"] or doc["soak"]["leaked_workers"] \
-            or doc["soak"]["pin_files"]:
-        failures.append(f"soak hygiene: {doc['soak']}")
-    gate = MIN_WARM_OVER_COLD if not smoke else 1.5
-    if doc["cache"]["warm_over_cold"] < gate:
-        failures.append(
-            f"warm/cold throughput {doc['cache']['warm_over_cold']}x "
-            f"below {gate}x gate"
-        )
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(run_report, "BENCH_serve.json"))

@@ -18,11 +18,13 @@ against (the tentpole of the observability PRs):
 * :mod:`repro.obs.profile` — the :class:`SiftProfile` collector for the
   BDD reordering loop, including engine-counter timelines;
 * :mod:`repro.obs.schema` — one declarative spec per document format
-  (build and run traces, the BDD, fleet-simulation and serving benchmark
-  reports, the bench-history trend document, difftest campaigns and
-  repros, and verify reports) behind the ``validate_*`` functions;
+  (build and run traces, the BDD, fleet-simulation, serving and
+  observability benchmark reports, the bench-history trend document,
+  difftest campaigns and repros, and verify reports) behind the
+  ``validate_*`` functions;
 * :mod:`repro.obs.history` — the ``repro-bench-history/v1`` merger and
-  regression gate behind ``repro bench-history``;
+  regression gate behind ``repro bench-history``, and :func:`bench_main`,
+  the one entry point every ``benchmarks/bench_*.py`` report script runs;
 * :mod:`repro.obs.report` — the shared reporter behind ``repro report``,
   one renderer per spec'd format.
 
@@ -52,11 +54,13 @@ from .core import (
     set_tracer,
 )
 from .history import (
+    bench_main,
     build_history,
     check_history,
     flatten_metrics,
     load_reference,
     render_history,
+    smoke_from_env,
 )
 from .profile import SiftProfile, SiftSample
 from .report import (
@@ -64,6 +68,7 @@ from .report import (
     render_build_report,
     render_difftest_report,
     render_difftest_repro,
+    render_obs_bench,
     render_report,
     render_run_report,
     render_serve_bench,
@@ -78,12 +83,14 @@ from .schema import (
     BUILD_TRACE_FORMAT,
     DIFFTEST_REPORT_FORMAT,
     DIFFTEST_REPRO_FORMAT,
+    OBS_BENCH_FORMAT,
     SERVE_BENCH_FORMAT,
     SIM_BENCH_FORMAT,
     VERIFY_REPORT_FORMAT,
     assert_valid_trace,
     validate_bdd_bench,
     validate_bench_history,
+    validate_bench_reference,
     validate_build_trace,
     validate_difftest_report,
     validate_difftest_repro,
@@ -120,6 +127,7 @@ __all__ = [
     "BDD_BENCH_FORMAT",
     "SIM_BENCH_FORMAT",
     "SERVE_BENCH_FORMAT",
+    "OBS_BENCH_FORMAT",
     "BENCH_HISTORY_FORMAT",
     "DIFFTEST_REPORT_FORMAT",
     "DIFFTEST_REPRO_FORMAT",
@@ -132,17 +140,20 @@ __all__ = [
     "write_build_chrome_trace",
     "SiftProfile",
     "SiftSample",
+    "bench_main",
     "build_history",
     "check_history",
     "flatten_metrics",
     "load_reference",
     "render_history",
+    "smoke_from_env",
     "validate_build_trace",
     "validate_run_trace",
     "validate_bdd_bench",
     "validate_sim_bench",
     "validate_serve_bench",
     "validate_bench_history",
+    "validate_bench_reference",
     "validate_difftest_report",
     "validate_difftest_repro",
     "validate_verify_report",
@@ -156,6 +167,7 @@ __all__ = [
     "render_bdd_bench",
     "render_sim_bench",
     "render_serve_bench",
+    "render_obs_bench",
     "render_report",
     "report_file",
 ]

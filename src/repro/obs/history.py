@@ -1,9 +1,9 @@
 """Perf-trajectory tracking: merge benchmark reports, gate regressions.
 
-Every benchmark in this repository emits a ``BENCH_*.json`` document (the
-BDD-engine bench, the pipeline bench, the observability-overhead bench).
-Each file captures one subsystem at one commit; none of them shows a
-*trajectory*.  :func:`build_history` merges any set of them into one
+Every benchmark report script in this repository emits a ``BENCH_*.json``
+document (the BDD-engine, fleet-simulation, serving and
+observability-overhead benches).  Each file captures one subsystem at one
+commit; none of them shows a *trajectory*.  :func:`build_history` merges any set of them into one
 ``repro-bench-history/v1`` trend document: every numeric leaf of every
 report, flattened to a dotted path prefixed with the report's stem
 (``BENCH_bdd.json`` → ``bdd.counters.swaps``), so the same path names the
@@ -14,23 +14,33 @@ same quantity across commits and CI runs can diff documents over time.
 either a relative tolerance (``ref`` + ``max_regress_pct`` — fail when
 the metric degrades more than N% against the recorded value) or an
 absolute bound (``limit`` — fail when the metric crosses it; the right
-tool for timing figures, which are too noisy for tight relative gates).
-``better`` declares the good direction (``lower`` for wall times and
-sizes, ``higher`` for throughputs and hit rates).  A tracked metric that
+tool for timing figures, which are too noisy for tight relative gates), or
+an exact value (``equals`` — for deterministic counters).  ``better``
+declares the good direction (``lower`` for wall times and sizes,
+``higher`` for throughputs and hit rates).  A tracked metric that
 vanished from the merged document fails too — silently dropping a
-benchmark must not pass the gate.
+benchmark must not pass the gate.  :func:`load_reference` checks the
+reference against its spec, so a malformed gate fails loudly instead of
+passing everything.
+
+:func:`bench_main` is the one ``main`` of the ``benchmarks/bench_*.py``
+report scripts: it runs, validates, writes, renders and gates a report
+against the single reference ``benchmarks/results/bench_history_reference.json``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+import sys
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .schema import BENCH_HISTORY_FORMAT
+from .schema import BENCH_HISTORY_FORMAT, validate_bench_reference
 
 __all__ = [
     "BENCH_HISTORY_FORMAT",
+    "bench_main",
+    "smoke_from_env",
     "flatten_metrics",
     "source_prefix",
     "build_history",
@@ -100,8 +110,10 @@ def build_history(paths: List[str]) -> Dict[str, Any]:
 def load_reference(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    if not isinstance(doc, dict) or not isinstance(doc.get("metrics"), dict):
-        raise ValueError(f"{path}: not a bench-history reference file")
+    errors = validate_bench_reference(doc)
+    if errors:
+        listing = "\n".join(f"  - {e}" for e in errors)
+        raise ValueError(f"{path}: not a valid bench-history reference:\n{listing}")
     return doc
 
 
@@ -111,6 +123,9 @@ def _check_one(
     """Evaluate one tracked metric; returns ``(status, detail)``."""
     if value is None:
         return "missing", "metric absent from merged history"
+    equals = spec.get("equals")
+    if equals is not None and value != equals:
+        return "fail", f"value {value:g} != expected {equals:g}"
     better = spec.get("better", "lower")
     limit = spec.get("limit")
     if limit is not None:
@@ -157,7 +172,7 @@ def check_history(
         entry: Dict[str, Any] = {"metric": name, "status": status}
         if value is not None:
             entry["value"] = value
-        for key in ("ref", "max_regress_pct", "limit", "better"):
+        for key in ("ref", "max_regress_pct", "limit", "equals", "better"):
             if key in spec:
                 entry[key] = spec[key]
         if detail:
@@ -184,6 +199,8 @@ def render_history(doc: Dict[str, Any]) -> str:
                 line += f" = {check['value']:g}"
             if "limit" in check:
                 line += f" (limit {check['limit']:g})"
+            if "equals" in check:
+                line += f" (equals {check['equals']:g})"
             if "ref" in check and "max_regress_pct" in check:
                 line += (
                     f" (ref {check['ref']:g} "
@@ -198,3 +215,74 @@ def render_history(doc: Dict[str, Any]) -> str:
             if failures else f"  {len(checks)} tracked, all within bounds"
         )
     return "\n".join(lines)
+
+
+#: The one gate file, in ``results/`` next to the bench report scripts.
+REFERENCE_NAME = "bench_history_reference.json"
+
+
+def smoke_from_env() -> bool:
+    """The one ``REPRO_BENCH_SMOKE`` rule: any value but empty or ``0`` means smoke."""
+    return os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+
+
+def bench_main(
+    run_report: Callable[..., Dict[str, Any]],
+    name: str,
+    check: Optional[Callable[[Dict[str, Any]], Optional[str]]] = None,
+    argv: Optional[List[str]] = None,
+    reference: Optional[str] = None,
+) -> int:
+    """The shared ``main`` of the ``benchmarks/bench_*.py`` report scripts.
+
+    Parses ``--json PATH`` (default ``name``) and ``--smoke``, runs
+    ``run_report(smoke=...)``, validates the document against its spec,
+    writes it as sorted JSON and prints its report.  Then it gates the
+    document against the tracked metrics under the prefix of the canonical
+    ``name`` (``BENCH_bdd.json`` → ``bdd.*``, whatever ``--json`` says) in
+    ``reference`` — by default :data:`REFERENCE_NAME` in ``results/`` next
+    to the file defining ``run_report``.  ``check(doc)`` may return a
+    failure message for an invariant that is not a number.
+
+    Returns the exit code: 0 when every check passes, 1 on any ``fail`` or
+    ``missing`` metric or a failed ``check``, 2 on a malformed reference.
+    """
+    import argparse
+
+    from .report import render_report
+    from .schema import assert_valid_trace
+
+    parser = argparse.ArgumentParser(description=sys.modules[run_report.__module__].__doc__)
+    parser.add_argument("--json", metavar="PATH", default=name,
+                        help="where to write the report document")
+    parser.add_argument("--smoke", action="store_true",
+                        help="shrink workloads (or set REPRO_BENCH_SMOKE)")
+    args = parser.parse_args(argv)
+    if reference is None:
+        script_dir = os.path.dirname(os.path.abspath(run_report.__code__.co_filename))
+        reference = os.path.join(script_dir, "results", REFERENCE_NAME)
+    try:
+        tracked = load_reference(reference)["metrics"]
+    except (OSError, ValueError) as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
+
+    doc = run_report(smoke=args.smoke or smoke_from_env())
+    assert_valid_trace(doc)
+    with open(args.json, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {args.json}")
+    print(render_report(doc))
+
+    prefix = source_prefix(name)
+    metrics = flatten_metrics(doc, prefix)
+    own = {k: v for k, v in tracked.items() if k.startswith(prefix + ".")}
+    checks, failures = check_history({"metrics": metrics}, {"metrics": own})
+    print(render_history({
+        "sources": [name], "summary": {"metrics": len(metrics)}, "checks": checks,
+    }))
+    problem = check(doc) if check else None
+    if problem:
+        print(f"FAIL: {problem}")
+    return 1 if failures or problem else 0

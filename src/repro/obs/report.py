@@ -18,6 +18,7 @@ from .schema import (
     BUILD_TRACE_FORMAT,
     DIFFTEST_REPORT_FORMAT,
     DIFFTEST_REPRO_FORMAT,
+    OBS_BENCH_FORMAT,
     SERVE_BENCH_FORMAT,
     SIM_BENCH_FORMAT,
     SPECS,
@@ -28,7 +29,7 @@ from .schema import (
 __all__ = ["render_build_report", "render_run_report",
            "render_difftest_report", "render_difftest_repro",
            "render_verify_report", "render_bdd_bench", "render_sim_bench",
-           "render_serve_bench", "render_report", "report_file", "RENDERERS"]
+           "render_serve_bench", "render_obs_bench", "render_report", "report_file", "RENDERERS"]
 
 
 def _rule(title: str) -> str:
@@ -573,6 +574,26 @@ def render_serve_bench(doc: Dict[str, Any], top: int = 10) -> str:
 
 
 # ----------------------------------------------------------------------
+# Observability-overhead benchmark reports
+# ----------------------------------------------------------------------
+
+
+def render_obs_bench(doc: Dict[str, Any], top: int = 10) -> str:
+    """Summarize a ``repro-obs-bench/v1`` report (BENCH_obs.json)."""
+    del top  # uniform renderer signature; this report has no top-N table
+    build, bus, trace = doc["build"], doc["bus"], doc["trace"]
+    return "\n".join([
+        _rule("observability bench" + (" (smoke)" if doc.get("smoke") else "")),
+        f"build: bare {build['bare_wall_ms']:.1f} ms, traced {build['traced_wall_ms']:.1f} ms "
+        f"({build['overhead_pct']:+.2f}%)",
+        f"bus: {bus['records']:,} records in {bus['wall_ms']:.1f} ms "
+        f"({bus['records_per_sec']:,.0f}/s)",
+        f"merged --jobs 2 trace: {trace['events']} events on {trace['lanes']} lanes, "
+        f"{trace['json_bytes']:,} bytes",
+    ])
+
+
+# ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
 
@@ -583,6 +604,7 @@ RENDERERS: Dict[str, Callable[..., str]] = {
     BDD_BENCH_FORMAT: render_bdd_bench,
     SIM_BENCH_FORMAT: render_sim_bench,
     SERVE_BENCH_FORMAT: render_serve_bench,
+    OBS_BENCH_FORMAT: render_obs_bench,
     BENCH_HISTORY_FORMAT: lambda doc, top=10: render_history(doc),
     DIFFTEST_REPORT_FORMAT: render_difftest_report,
     DIFFTEST_REPRO_FORMAT: render_difftest_repro,

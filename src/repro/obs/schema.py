@@ -1,16 +1,18 @@
-"""Declarative schemas for the nine ``repro`` JSON document formats.
+"""Declarative schemas for the ten ``repro`` JSON document formats.
 
-Each format — build and run traces, the BDD, fleet-simulation and serving
-benchmark reports, the bench-history trend document, the difftest campaign
-report and its replay documents, and the static-verify report — is one
-spec in :data:`SPECS`, built from :func:`obj`, :func:`list_of`, :func:`map_of`,
-:func:`one_of` and :func:`const` over typed leaves (the package has no
-JSON-Schema dependency).  Bespoke code is kept only for cross-field rules.
-Every field a reporter reads has a type, so a document that validates also
-renders.  An optional key may be absent; when present it is checked like
-any other value, ``null`` included.  Validators return a list of error
-strings (empty means valid) so CI can print every problem at once;
-:func:`assert_valid_trace` wraps them in a raising form.
+Each format — build and run traces, the BDD, fleet-simulation, serving and
+observability benchmark reports, the bench-history trend document, the
+difftest campaign report and its replay documents, and the static-verify
+report — is one spec in :data:`SPECS`, built from :func:`obj`,
+:func:`list_of`, :func:`map_of`, :func:`one_of` and :func:`const` over typed
+leaves (the package has no JSON-Schema dependency).  Bespoke code is kept
+only for cross-field rules.  The bench-history reference file has a spec
+too (:func:`validate_bench_reference`), so a malformed gate is rejected
+instead of silently passing.  Every field a reporter reads has a type, so a
+document that validates also renders.  An optional key may be absent; when
+present it is checked like any other value, ``null`` included.  Validators
+return a list of error strings (empty means valid) so CI can print every
+problem at once; :func:`assert_valid_trace` wraps them in a raising form.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from .runtrace import RUN_EVENT_KINDS, RUN_TRACE_FORMAT
 
 __all__ = [
     "validate_build_trace", "validate_run_trace", "validate_bdd_bench", "validate_sim_bench",
-    "validate_serve_bench", "validate_bench_history", "validate_difftest_report",
+    "validate_serve_bench", "validate_bench_history",
+    "validate_bench_reference", "validate_difftest_report",
     "validate_difftest_repro", "validate_verify_report", "validate_trace", "assert_valid_trace",
-    "SPECS", "BUILD_TRACE_FORMAT", "BDD_BENCH_FORMAT", "SIM_BENCH_FORMAT", "SERVE_BENCH_FORMAT",
+    "SPECS", "BUILD_TRACE_FORMAT", "BDD_BENCH_FORMAT", "SIM_BENCH_FORMAT",
+    "SERVE_BENCH_FORMAT", "OBS_BENCH_FORMAT",
     "BENCH_HISTORY_FORMAT", "DIFFTEST_REPORT_FORMAT", "DIFFTEST_REPRO_FORMAT",
     "VERIFY_REPORT_FORMAT",
 ]
@@ -33,6 +37,7 @@ BUILD_TRACE_FORMAT = "repro-build-trace/v1"
 BDD_BENCH_FORMAT = "repro-bdd-bench/v2"
 SIM_BENCH_FORMAT = "repro-sim-bench/v1"
 SERVE_BENCH_FORMAT = "repro-serve-bench/v1"
+OBS_BENCH_FORMAT = "repro-obs-bench/v1"
 BENCH_HISTORY_FORMAT = "repro-bench-history/v1"
 DIFFTEST_REPORT_FORMAT = "repro-difftest/v1"
 DIFFTEST_REPRO_FORMAT = "repro-difftest-repro/v1"
@@ -268,6 +273,16 @@ def _baseline_needs_speedup(scenario: Dict[str, Any], where: str, errors: List[s
         errors.append(f"{where}: baseline present but no speedup")
 
 
+def _tracks_something(entry: Dict[str, Any], where: str, errors: List[str]) -> None:
+    """Rule: a reference entry declares at least one check, and a relative
+    band has both its halves."""
+    if "ref" in entry or "max_regress_pct" in entry:
+        if "ref" not in entry or "max_regress_pct" not in entry:
+            errors.append(f"{where}: ref and max_regress_pct go together")
+    elif "limit" not in entry and "equals" not in entry:
+        errors.append(f"{where}: no check (expected limit, ref + max_regress_pct or equals)")
+
+
 # -- Format specs ------------------------------------------------------
 
 _BUILD_EVENT = obj(
@@ -392,9 +407,25 @@ _SERVE_BENCH = obj(
     }
 )
 
+#: The observability-overhead figures (BENCH_obs.json).
+_OBS_BENCH = obj(
+    {
+        "format": const(OBS_BENCH_FORMAT),
+        "smoke": BOOL,
+        "build": obj(
+            {**dict.fromkeys(("bare_wall_ms", "traced_wall_ms"), NON_NEGATIVE),
+             "overhead_pct": NUMBER}
+        ),
+        "bus": obj(
+            {"records": COUNT, **dict.fromkeys(("wall_ms", "records_per_sec"), NON_NEGATIVE)}
+        ),
+        "trace": obj(dict.fromkeys(("events", "lanes", "json_bytes"), COUNT)),
+    }
+)
+
 _HISTORY_CHECK = obj(
     {"metric": STRING, "status": one_of("ok", "fail", "missing")},
-    dict.fromkeys(("value", "limit", "ref", "max_regress_pct"), NUMBER),
+    dict.fromkeys(("value", "limit", "ref", "max_regress_pct", "equals"), NUMBER),
 )
 _BENCH_HISTORY = obj(
     {
@@ -410,6 +441,27 @@ _BENCH_HISTORY = obj(
         # out of CI must trip the gate.
         count_of("failures", "checks", status=("fail", "missing")),
     ],
+)
+
+#: A tracked metric of the bench-history reference: an absolute ``limit``,
+#: a relative band (``ref`` + ``max_regress_pct``) or an exact ``equals``;
+#: ``better`` gives the good direction of the first two.
+_REFERENCE_ENTRY_FIELDS = {
+    **dict.fromkeys(("limit", "ref", "equals"), NUMBER),
+    "max_regress_pct": NON_NEGATIVE,
+    "better": one_of("lower", "higher"),
+}
+_BENCH_REFERENCE = obj(
+    {
+        "metrics": map_of(
+            obj(
+                optional=_REFERENCE_ENTRY_FIELDS,
+                rules=[map_of(keys=tuple(_REFERENCE_ENTRY_FIELDS)), _tracks_something],
+            ),
+            nonempty=True,
+        )
+    },
+    {"note": STRING},
 )
 
 _LAYER_NAMES = ("reference", "bdd", "sgraph", "cgen", "isa", "analysis", "estimation")
@@ -501,6 +553,7 @@ SPECS: Dict[str, Spec] = {
     BDD_BENCH_FORMAT: _BDD_BENCH,
     SIM_BENCH_FORMAT: _SIM_BENCH,
     SERVE_BENCH_FORMAT: _SERVE_BENCH,
+    OBS_BENCH_FORMAT: _OBS_BENCH,
     BENCH_HISTORY_FORMAT: _BENCH_HISTORY,
     DIFFTEST_REPORT_FORMAT: _DIFFTEST_REPORT,
     DIFFTEST_REPRO_FORMAT: _DIFFTEST_REPRO,
@@ -530,6 +583,13 @@ validate_bench_history = _validator(BENCH_HISTORY_FORMAT)
 validate_difftest_report = _validator(DIFFTEST_REPORT_FORMAT)
 validate_difftest_repro = _validator(DIFFTEST_REPRO_FORMAT)
 validate_verify_report = _validator(VERIFY_REPORT_FORMAT)
+
+
+def validate_bench_reference(doc: Any) -> List[str]:
+    """Check a bench-history reference file; returns its errors (empty means valid)."""
+    errors: List[str] = []
+    _BENCH_REFERENCE(doc, "", errors)
+    return errors
 
 
 def validate_trace(doc: Any) -> List[str]:

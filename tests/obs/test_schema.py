@@ -189,16 +189,22 @@ class TestBddBenchValidation:
 
     def test_committed_reference_counters_are_valid(self):
         path = os.path.join(
-            REPO_ROOT, "benchmarks", "results", "bdd_engine_reference.json"
+            REPO_ROOT, "benchmarks", "results", "bench_history_reference.json"
         )
         with open(path) as fh:
             ref = json.load(fh)
-        for name, scenario in ref["sift"].items():
+        sift = {
+            name: entry["equals"]
+            for name, entry in ref["metrics"].items()
+            if name.startswith("bdd.sift.")
+        }
+        for scenario in ("independent", "small", "stress"):
             for field in ("swaps", "swap_skips", "collects", "final_size"):
-                assert isinstance(scenario[field], int), (name, field)
+                name = f"bdd.sift.{scenario}.{field}"
+                assert isinstance(sift[name], int), name
         # The interaction-matrix fast path must be non-vacuously gated
         # somewhere in the reference.
-        assert any(sc["swap_skips"] > 0 for sc in ref["sift"].values())
+        assert any(v > 0 for k, v in sift.items() if k.endswith(".swap_skips"))
 
 
 class TestDispatch:
