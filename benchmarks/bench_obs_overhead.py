@@ -1,10 +1,9 @@
 """Observability overhead: instrumentation must be ~free when disabled.
 
-The runtime, the BDD engine, and the estimator carry permanent hooks for
-the observability layer (run traces, metrics, spans).  Every hook hides
-behind a single ``is not None`` / ``enabled`` check, so a plain run —
-no sinks attached — must stay within a few percent of an uninstrumented
-build.  This benchmark runs the shock-absorber cosimulation bare and with
+The runtime and the BDD engine carry permanent hooks for the
+observability layer (run traces, metrics, sift profiles).  Every hook
+hides behind a single ``is not None`` check, so a plain run — no sinks
+attached — must stay within a few percent of an uninstrumented build.  This benchmark runs the shock-absorber cosimulation bare and with
 every sink attached, checks the attached run still returns *identical*
 simulation results (observability never changes behavior), and records
 the wall-clock ratio.
@@ -18,14 +17,15 @@ Two entry points:
   BENCH_obs.json] [--smoke]``) — the machine-readable ``repro-obs-bench/v1``
   figures, gated against the ``obs.*`` entries of
   ``results/bench_history_reference.json``: causal build-trace overhead
-  (obs-on vs obs-off wall clock), telemetry-bus write+drain throughput,
-  and merged ``--jobs 2`` trace shape/size.
+  (obs-on vs obs-off wall clock, the median ratio of interleaved build
+  pairs) and merged ``--jobs 2`` trace shape/size.
 
 Smoke mode (``--smoke`` or ``REPRO_BENCH_SMOKE``): shorter scenario,
-fewer repeats.
+fewer repeats and build pairs.
 """
 
 import os
+import statistics
 import sys
 import time
 
@@ -129,72 +129,41 @@ def test_observability_is_inert_and_cheap(shock_net):
     assert ratio < MAX_ATTACHED_RATIO
 
 
-def test_disabled_tracer_span_is_nearly_free():
-    """The module tracer defaults to disabled; its span() must not allocate."""
-    from repro.obs import get_tracer
-
-    tracer = get_tracer()
-    assert not tracer.enabled
-    first = tracer.span("x")
-    second = tracer.span("y", a=1)
-    # Disabled spans are one shared object: no per-call allocation.
-    assert first is second
-    assert len(tracer.spans) == 0
-
-
 # ----------------------------------------------------------------------
 # report-script mode (BENCH_obs.json)
 # ----------------------------------------------------------------------
 
-def _bench_build_overhead(repeats):
-    """Causal-trace overhead on a full serial co-synthesis build."""
+def _bench_build_overhead(pairs):
+    """Causal-trace overhead on a full serial co-synthesis build.
+
+    Bare and traced builds run in interleaved pairs, alternating which
+    goes first, so machine drift lands on both sides; the overhead is
+    the median of the per-pair traced/bare ratios.
+    """
     from repro.apps import dashboard_network
     from repro.flow import build_system
     from repro.pipeline import BuildTrace
 
-    def build(trace=None):
-        build_system(dashboard_network(), trace=trace)
-
-    build()  # warm caches (imports, calibration) outside the timer
-    bare = _median_wall(lambda: build(), repeats=repeats)
-    traced = _median_wall(lambda: build(BuildTrace()), repeats=repeats)
-    overhead_pct = (traced / bare - 1.0) * 100.0 if bare else 0.0
-    return {
-        "bare_wall_ms": round(bare * 1000, 3),
-        "traced_wall_ms": round(traced * 1000, 3),
-        "overhead_pct": round(overhead_pct, 2),
-    }
-
-
-def _bench_bus_throughput(records):
-    """Write+drain throughput of the JSONL telemetry bus, records/second."""
-    import shutil
-    import tempfile
-
-    from repro.obs import TelemetryBus
-
-    root = tempfile.mkdtemp(prefix="repro-bench-bus-")
-    try:
-        bus = TelemetryBus(root)
-        event = {
-            "module": "bench", "name": "span", "kind": "stage",
-            "wall_ms": 1, "metrics": {"n": 1}, "status": "",
-        }
+    def timed(traced):
         start = time.perf_counter()
-        for lane in range(1, 5):
-            with bus.writer(lane) as writer:
-                for _ in range(records // 4):
-                    writer.emit_event(event)
-        drained = bus.drain()
-        wall = time.perf_counter() - start
-        assert len(drained) == (records // 4) * 4
-        return {
-            "records": len(drained),
-            "wall_ms": round(wall * 1000, 3),
-            "records_per_sec": round(len(drained) / wall) if wall else 0,
-        }
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
+        build_system(dashboard_network(), trace=BuildTrace() if traced else None)
+        return time.perf_counter() - start
+
+    timed(False)  # warm caches (imports, calibration) outside the timer
+    bare, traced = [], []
+    for i in range(pairs):
+        if i % 2:
+            traced.append(timed(True))
+            bare.append(timed(False))
+        else:
+            bare.append(timed(False))
+            traced.append(timed(True))
+    ratio = statistics.median(t / b for b, t in zip(bare, traced))
+    return {
+        "bare_wall_ms": round(statistics.median(bare) * 1000, 3),
+        "traced_wall_ms": round(statistics.median(traced) * 1000, 3),
+        "overhead_pct": round((ratio - 1.0) * 100.0, 2),
+    }
 
 
 def _bench_merged_trace():
@@ -219,13 +188,10 @@ def _bench_merged_trace():
 
 
 def run_report(smoke=False):
-    repeats = 3 if smoke else 5
-    records = 2_000 if smoke else 20_000
     return {
         "format": OBS_BENCH_FORMAT,
         "smoke": smoke,
-        "build": _bench_build_overhead(repeats),
-        "bus": _bench_bus_throughput(records),
+        "build": _bench_build_overhead(3 if smoke else 11),
         "trace": _bench_merged_trace(),
     }
 

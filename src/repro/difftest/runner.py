@@ -16,8 +16,6 @@ locally from the JSON artifact alone.
 from __future__ import annotations
 
 import json
-import shutil
-import tempfile
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -101,17 +99,16 @@ class FuzzConfig:
 
 @dataclass
 class FuzzCaseOutcome:
-    """Executor-transportable result of one case (plain dicts only).
+    """Executor-transportable result of one case.
 
     ``events``/``metrics`` carry the case's telemetry home when the task
-    ran with a trace context but no bus (in-process execution); bus-mode
-    tasks stream them instead and leave both empty.
+    ran with a trace context; both stay empty otherwise.
     """
 
     report: Dict[str, Any]
     repro: Optional[Dict[str, Any]] = None
     shrink_ms: int = 0
-    events: List[Dict[str, Any]] = field(default_factory=list)
+    events: List[TraceEvent] = field(default_factory=list)
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
@@ -124,8 +121,7 @@ class FuzzCaseTask:
 
     With a trace ``context`` injected, the case runs under a
     ``fuzz.case`` span on its own lane and reports a
-    ``difftest_divergences`` counter — through the telemetry bus when the
-    context names one, in the outcome otherwise.
+    ``difftest_divergences`` counter in its outcome.
     """
 
     index: int
@@ -182,7 +178,7 @@ class FuzzCaseTask:
                         "inject": config.inject,
                     },
                 )
-        events: List[Dict[str, Any]] = []
+        events: List[TraceEvent] = []
         metrics: Dict[str, float] = {}
         if trace is not None and span is not None:
             divergences = len(report.mismatches)
@@ -194,17 +190,8 @@ class FuzzCaseTask:
                     "skipped": 1 if report.skipped else 0,
                 }
             )
-            if self.context is not None and self.context.bus_dir is not None:
-                from ..obs.bus import TelemetryBus
-
-                bus = TelemetryBus(self.context.bus_dir)
-                with bus.writer(self.context.lane) as writer:
-                    for event in trace.events:
-                        writer.emit_event(event.to_dict())
-                    writer.emit_metric("difftest_divergences", divergences)
-            else:
-                events = [event.to_dict() for event in trace.events]
-                metrics = {"difftest_divergences": divergences}
+            events = trace.events
+            metrics = {"difftest_divergences": divergences}
         return FuzzCaseOutcome(
             report=report.as_dict(), repro=repro, shrink_ms=shrink_ms,
             events=events, metrics=metrics,
@@ -218,42 +205,25 @@ def run_fuzz(
 
     With ``trace`` given, the campaign records one merged causal trace:
     a root span, one ``fuzz.case`` span per case on its own lane, and a
-    summed ``difftest_divergences`` counter — streamed over a telemetry
-    bus when the campaign fans out over a process pool.
+    summed ``difftest_divergences`` counter, carried home in the case
+    outcomes.
     """
     started = time.monotonic()
     executor = make_executor(config.jobs)
     if trace is not None and trace.trace_id is None:
         trace.begin(f"fuzz-seed{config.seed}")
-    bus_dir: Optional[str] = None
-    if trace is not None and executor.jobs > 1:
-        bus_dir = tempfile.mkdtemp(prefix="repro-fuzz-bus-")
-    try:
-        tasks = [
-            FuzzCaseTask(
-                index=i, config=config,
-                context=(
-                    trace.context_for(i + 1, bus_dir)
-                    if trace is not None else None
-                ),
-            )
-            for i in range(config.cases)
-        ]
-        outcomes: List[FuzzCaseOutcome] = executor.run(tasks)
-        if trace is not None:
-            for outcome in outcomes:
-                for event in outcome.events:
-                    trace.record(TraceEvent.from_dict(event))
-                for name, value in outcome.metrics.items():
-                    trace.add_metric(name, value)
-            if bus_dir is not None:
-                from ..obs.bus import TelemetryBus
-
-                trace.merge_bus(TelemetryBus(bus_dir).drain())
-            trace.finish()
-    finally:
-        if bus_dir is not None:
-            shutil.rmtree(bus_dir, ignore_errors=True)
+    tasks = [
+        FuzzCaseTask(
+            index=i, config=config,
+            context=trace.context_for(i + 1) if trace is not None else None,
+        )
+        for i in range(config.cases)
+    ]
+    outcomes: List[FuzzCaseOutcome] = executor.run(tasks)
+    if trace is not None:
+        for outcome in outcomes:
+            trace.merge(outcome.events, outcome.metrics)
+        trace.finish()
 
     reactions = 0
     skipped: List[Dict[str, Any]] = []

@@ -20,15 +20,13 @@ stimulus injection) simultaneously for every lane:
 Lanes are grouped into fixed ``lanes_per_shard`` blocks whose stimulus
 seeds depend only on ``(seed, shard index)``, so results are independent
 of ``--jobs``; shards run as :class:`FleetShardTask` on the pipeline
-executors with per-shard spans/metrics streamed over the telemetry bus,
-mirroring the difftest campaign runner.
+executors with per-shard spans/metrics carried home in the shard
+outcomes, mirroring the difftest campaign runner.
 """
 
 from __future__ import annotations
 
 import hashlib
-import shutil
-import tempfile
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -302,7 +300,7 @@ class FleetShardOutcome:
     env_emitted: Dict[str, int]
     digest: str
     wall_ms: int
-    events: List[Dict[str, Any]] = field(default_factory=list)
+    events: List[TraceEvent] = field(default_factory=list)
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
@@ -352,24 +350,14 @@ class FleetShardTask:
                         "fleet_lost_events": lost,
                     }
                 )
-        events: List[Dict[str, Any]] = []
+        events: List[TraceEvent] = []
         metrics: Dict[str, float] = {}
         if trace is not None:
-            if self.context is not None and self.context.bus_dir is not None:
-                from ..obs.bus import TelemetryBus
-
-                bus = TelemetryBus(self.context.bus_dir)
-                with bus.writer(self.context.lane) as writer:
-                    for event in trace.events:
-                        writer.emit_event(event.to_dict())
-                    writer.emit_metric("fleet_reactions", reactions)
-                    writer.emit_metric("fleet_lost_events", lost)
-            else:
-                events = [event.to_dict() for event in trace.events]
-                metrics = {
-                    "fleet_reactions": reactions,
-                    "fleet_lost_events": lost,
-                }
+            events = trace.events
+            metrics = {
+                "fleet_reactions": reactions,
+                "fleet_lost_events": lost,
+            }
         return FleetShardOutcome(
             shard=self.shard_index,
             lanes=self.lanes,
@@ -411,40 +399,22 @@ def run_fleet(
     executor = make_executor(config.jobs)
     if trace is not None and trace.trace_id is None:
         trace.begin(f"fleet-{network.name}")
-    bus_dir: Optional[str] = None
-    if trace is not None and executor.jobs > 1:
-        bus_dir = tempfile.mkdtemp(prefix="repro-fleet-bus-")
-    try:
-        tasks = [
-            FleetShardTask(
-                shard_index=i,
-                lanes=lanes,
-                config=config,
-                compiled=compiled,
-                spec=spec,
-                context=(
-                    trace.context_for(i + 1, bus_dir)
-                    if trace is not None
-                    else None
-                ),
-            )
-            for i, lanes in enumerate(config.shard_sizes())
-        ]
-        outcomes: List[FleetShardOutcome] = executor.run(tasks)
-        if trace is not None:
-            for outcome in outcomes:
-                for event in outcome.events:
-                    trace.record(TraceEvent.from_dict(event))
-                for name, value in outcome.metrics.items():
-                    trace.add_metric(name, value)
-            if bus_dir is not None:
-                from ..obs.bus import TelemetryBus
-
-                trace.merge_bus(TelemetryBus(bus_dir).drain())
-            trace.finish()
-    finally:
-        if bus_dir is not None:
-            shutil.rmtree(bus_dir, ignore_errors=True)
+    tasks = [
+        FleetShardTask(
+            shard_index=i,
+            lanes=lanes,
+            config=config,
+            compiled=compiled,
+            spec=spec,
+            context=trace.context_for(i + 1) if trace is not None else None,
+        )
+        for i, lanes in enumerate(config.shard_sizes())
+    ]
+    outcomes: List[FleetShardOutcome] = executor.run(tasks)
+    if trace is not None:
+        for outcome in outcomes:
+            trace.merge(outcome.events, outcome.metrics)
+        trace.finish()
 
     reactions = sum(o.reactions for o in outcomes)
     lost = sum(o.lost_events for o in outcomes)

@@ -25,8 +25,6 @@ The result bundles every artifact a system integrator needs, and
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -296,44 +294,32 @@ def build_system(
 
     if pending:
         executor = make_executor(jobs)
-        # Cross-process tasks stream their spans home over a telemetry
-        # bus; in-process tasks carry them in the outcome.  Lanes are
+        # Every task carries its spans home in its outcome.  Lanes are
         # assigned by task order, so serial and parallel builds produce
         # structurally identical span trees.
-        bus_dir: Optional[str] = None
-        if trace is not None and executor.jobs > 1:
-            bus_dir = tempfile.mkdtemp(prefix="repro-bus-")
-        try:
-            tasks = [
-                ModuleBuildTask(
-                    machine=machine, options=options, profile=profile,
-                    params=params,
-                    context=(
-                        trace.context_for(index + 1, bus_dir)
-                        if trace is not None else None
-                    ),
-                    manager_pool=(
-                        manager_pool if executor.jobs == 1 else None
-                    ),
-                )
-                for index, (machine, _) in enumerate(pending)
-            ]
-            outcomes = executor.run(tasks)
-            for (machine, key), outcome in zip(pending, outcomes):
-                if trace is not None:
-                    trace.extend(outcome.events)
-                if cache is not None and key is not None:
-                    cache.put(key, outcome.artifacts)
-                build.modules[machine.name] = _module_build(
-                    outcome.artifacts, result=outcome.result, from_cache=False
-                )
-            if bus_dir is not None and trace is not None:
-                from .obs.bus import TelemetryBus
-
-                trace.merge_bus(TelemetryBus(bus_dir).drain())
-        finally:
-            if bus_dir is not None:
-                shutil.rmtree(bus_dir, ignore_errors=True)
+        tasks = [
+            ModuleBuildTask(
+                machine=machine, options=options, profile=profile,
+                params=params,
+                context=(
+                    trace.context_for(index + 1)
+                    if trace is not None else None
+                ),
+                manager_pool=(
+                    manager_pool if executor.jobs == 1 else None
+                ),
+            )
+            for index, (machine, _) in enumerate(pending)
+        ]
+        outcomes = executor.run(tasks)
+        for (machine, key), outcome in zip(pending, outcomes):
+            if trace is not None:
+                trace.merge(outcome.events, outcome.metrics)
+            if cache is not None and key is not None:
+                cache.put(key, outcome.artifacts)
+            build.modules[machine.name] = _module_build(
+                outcome.artifacts, result=outcome.result, from_cache=False
+            )
 
     # Modules land in network declaration order whatever path built them.
     build.modules = {

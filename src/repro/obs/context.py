@@ -17,17 +17,14 @@ and a parallel build of the same network produce structurally identical
 id graphs.
 
 :class:`TraceContext` is the picklable capsule a coordinator injects into
-each task: the trace id, the parent span to link back to, the assigned
-lane, and (for process pools) the telemetry-bus directory the worker
-should append its events to (:mod:`repro.obs.bus`).
+each task: the trace id, the parent span to link back to, and the
+assigned lane.  The task's spans come home inside its outcome.
 """
 
 from __future__ import annotations
 
-import os
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
 
 __all__ = [
     "TraceContext",
@@ -62,48 +59,13 @@ def span_id_lane(span_id: str) -> int:
 
 @dataclass
 class TraceContext:
-    """The serializable causal link a coordinator hands to one task.
+    """The picklable causal link a coordinator hands to one task.
 
     ``span_id`` is the *parent* span the task's own spans link back to
     (usually the build's root span).  ``lane`` is the task's private
-    span-id partition.  ``bus_dir`` names the telemetry-bus directory a
-    cross-process worker appends its events to; ``None`` means the task
-    returns events in its outcome (serial / in-process execution).
+    span-id partition.
     """
 
     trace_id: str
     span_id: str
     lane: int
-    bus_dir: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "lane": self.lane,
-        }
-        if self.bus_dir is not None:
-            out["bus_dir"] = self.bus_dir
-        return out
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "TraceContext":
-        return cls(
-            trace_id=str(doc["trace_id"]),
-            span_id=str(doc["span_id"]),
-            lane=int(doc["lane"]),
-            bus_dir=doc.get("bus_dir"),
-        )
-
-    def child(self, lane: int, bus_dir: Optional[str] = None) -> "TraceContext":
-        """A context for a sub-task on its own lane, parented on this span."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            lane=lane,
-            bus_dir=bus_dir if bus_dir is not None else self.bus_dir,
-        )
-
-    @property
-    def pid(self) -> int:
-        return os.getpid()

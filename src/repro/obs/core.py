@@ -1,16 +1,12 @@
-"""The shared observability core: spans, metrics, trace documents.
+"""The shared observability core: metrics and trace documents.
 
 Everything in this module is dependency-free (it imports nothing from
-``repro`` outside the equally dependency-free :mod:`repro.obs.context`)
-so any layer — the BDD engine, the synthesis pipeline, the RTOS runtime
-— can be instrumented without import cycles.
+``repro``) so any layer — the BDD engine, the synthesis pipeline, the
+RTOS runtime — can be instrumented without import cycles.  Spans are
+recorded by one API, :class:`repro.pipeline.BuildTrace`.
 
-Three primitives:
+Two primitives:
 
-* :class:`Tracer` — wall-clock spans (``with tracer.span("estimate")``)
-  and instant marks.  A disabled tracer costs one attribute check and
-  returns a shared no-op context manager, so hooks can stay in hot paths
-  permanently.
 * :class:`MetricsRegistry` — named counters, gauges, and histograms with
   optional labels; :meth:`MetricsRegistry.to_dict` gives a stable JSON
   shape and :meth:`MetricsRegistry.render` a human-readable dump.
@@ -24,17 +20,9 @@ Three primitives:
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .context import TraceContext, make_span_id
-
 __all__ = [
-    "Span",
-    "Tracer",
-    "get_tracer",
-    "set_tracer",
     "Counter",
     "Gauge",
     "Histogram",
@@ -42,155 +30,6 @@ __all__ = [
     "TraceDocument",
     "read_trace_file",
 ]
-
-
-# ----------------------------------------------------------------------
-# Spans
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class Span:
-    """One timed region.  Used as a context manager; attributes may be
-    added while the span is open via :meth:`set`.
-
-    The id fields are populated only by a tracer carrying a
-    :class:`~repro.obs.context.TraceContext` — they causally link the
-    span into a cross-process trace (W3C Trace Context shapes).
-    """
-
-    name: str
-    attrs: Dict[str, Any] = field(default_factory=dict)
-    start_ms: float = 0.0
-    wall_ms: float = 0.0
-    trace_id: Optional[str] = None
-    span_id: Optional[str] = None
-    parent_id: Optional[str] = None
-    _t0: float = 0.0
-
-    def set(self, **attrs: Any) -> "Span":
-        self.attrs.update(attrs)
-        return self
-
-    def __enter__(self) -> "Span":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.wall_ms = (time.perf_counter() - self._t0) * 1000.0
-
-
-class _NullSpan:
-    """Shared no-op span handed out by a disabled tracer."""
-
-    __slots__ = ()
-
-    def set(self, **attrs: Any) -> "_NullSpan":
-        return self
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class Tracer:
-    """Collects wall-clock spans and instant marks.
-
-    ``enabled=False`` (the default of the process-wide tracer) makes every
-    hook a near-free no-op, which is what keeps permanent instrumentation
-    in the BDD engine and path analysis within the overhead budget.
-
-    With a :class:`~repro.obs.context.TraceContext` attached, every span
-    is stamped with ``trace_id``/``span_id``/``parent_id``: span ids are
-    allocated on the context's lane, and each span links back to the
-    context's parent span — so a tracer opened inside a worker process
-    produces spans causally joined to the coordinating build.
-    """
-
-    def __init__(
-        self,
-        enabled: bool = True,
-        context: Optional[TraceContext] = None,
-    ):
-        self.enabled = enabled
-        self.context = context
-        self.spans: List[Span] = []
-        self._seq = 0
-        self._epoch = time.perf_counter()
-
-    def _stamp(self, s: Span) -> None:
-        if self.context is not None:
-            self._seq += 1
-            s.trace_id = self.context.trace_id
-            s.span_id = make_span_id(self.context.lane, self._seq)
-            s.parent_id = self.context.span_id
-
-    def span(self, name: str, **attrs: Any):
-        if not self.enabled:
-            return _NULL_SPAN
-        s = Span(name=name, attrs=dict(attrs))
-        s.start_ms = (time.perf_counter() - self._epoch) * 1000.0
-        self._stamp(s)
-        self.spans.append(s)
-        return s
-
-    def instant(self, name: str, **attrs: Any) -> None:
-        if not self.enabled:
-            return
-        s = Span(name=name, attrs=dict(attrs))
-        s.start_ms = (time.perf_counter() - self._epoch) * 1000.0
-        self._stamp(s)
-        self.spans.append(s)
-
-    def clear(self) -> None:
-        self.spans.clear()
-
-    def by_name(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "spans": [
-                {
-                    "name": s.name,
-                    "start_ms": round(s.start_ms, 3),
-                    "wall_ms": round(s.wall_ms, 3),
-                    **({"attrs": s.attrs} if s.attrs else {}),
-                    **(
-                        {
-                            "span_id": s.span_id,
-                            "parent_id": s.parent_id,
-                        }
-                        if s.span_id is not None else {}
-                    ),
-                }
-                for s in self.spans
-            ]
-        }
-        if self.context is not None:
-            out["trace_id"] = self.context.trace_id
-        return out
-
-
-#: Process-wide tracer used by the permanent hooks in ``estimation`` and
-#: ``target``.  Disabled until something (a CLI flag, a test, a benchmark)
-#: turns it on.
-_TRACER = Tracer(enabled=False)
-
-
-def get_tracer() -> Tracer:
-    return _TRACER
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    global _TRACER
-    _TRACER = tracer
-    return tracer
 
 
 # ----------------------------------------------------------------------

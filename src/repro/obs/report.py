@@ -581,13 +581,11 @@ def render_serve_bench(doc: Dict[str, Any], top: int = 10) -> str:
 def render_obs_bench(doc: Dict[str, Any], top: int = 10) -> str:
     """Summarize a ``repro-obs-bench/v1`` report (BENCH_obs.json)."""
     del top  # uniform renderer signature; this report has no top-N table
-    build, bus, trace = doc["build"], doc["bus"], doc["trace"]
+    build, trace = doc["build"], doc["trace"]
     return "\n".join([
         _rule("observability bench" + (" (smoke)" if doc.get("smoke") else "")),
         f"build: bare {build['bare_wall_ms']:.1f} ms, traced {build['traced_wall_ms']:.1f} ms "
         f"({build['overhead_pct']:+.2f}%)",
-        f"bus: {bus['records']:,} records in {bus['wall_ms']:.1f} ms "
-        f"({bus['records_per_sec']:,.0f}/s)",
         f"merged --jobs 2 trace: {trace['events']} events on {trace['lanes']} lanes, "
         f"{trace['json_bytes']:,} bytes",
     ])

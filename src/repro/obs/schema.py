@@ -416,9 +416,6 @@ _OBS_BENCH = obj(
             {**dict.fromkeys(("bare_wall_ms", "traced_wall_ms"), NON_NEGATIVE),
              "overhead_pct": NUMBER}
         ),
-        "bus": obj(
-            {"records": COUNT, **dict.fromkeys(("wall_ms", "records_per_sec"), NON_NEGATIVE)}
-        ),
         "trace": obj(dict.fromkeys(("events", "lanes", "json_bytes"), COUNT)),
     }
 )

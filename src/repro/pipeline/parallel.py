@@ -48,9 +48,7 @@ class ModuleBuildTask:
     When the coordinator runs a causal trace it injects a
     :class:`~repro.obs.context.TraceContext`: the task then opens a child
     trace on its own span-id lane, wraps the build in a per-module span,
-    and — when the context names a telemetry-bus directory — streams the
-    events home over the bus instead of carrying them in the (pickled)
-    outcome, so a worker that dies mid-build loses nothing already done.
+    and carries the events home in its outcome.
     """
 
     machine: Any  # Cfsm — picklable by construction
@@ -84,19 +82,11 @@ class ModuleBuildTask:
         finally:
             if manager is not None:
                 self.manager_pool.release(manager)
-        events = trace.events
-        if self.context is not None and self.context.bus_dir is not None:
-            from ..obs.bus import TelemetryBus
-
-            bus = TelemetryBus(self.context.bus_dir)
-            with bus.writer(self.context.lane) as writer:
-                for event in events:
-                    writer.emit_event(event.to_dict())
-            events = []
         return ModuleBuildOutcome(
             artifacts=artifacts,
             result=result if keep_result else None,
-            events=events,
+            events=trace.events,
+            metrics=trace.metrics,
         )
 
 
@@ -107,6 +97,7 @@ class ModuleBuildOutcome:
     artifacts: ModuleArtifacts
     result: Optional[Any] = None  # SynthesisResult when built in-process
     events: List[TraceEvent] = field(default_factory=list)
+    metrics: Dict[str, float] = field(default_factory=dict)
 
 
 def _worker(task: Any) -> Any:

@@ -16,10 +16,9 @@ Since the causal-telemetry work the trace is also a *distributed* trace:
 ``span_id``/``parent_id`` links, and a worker process adopts a
 :class:`repro.obs.context.TraceContext` so its spans land on their own
 *lane* of the id space and link back to the coordinator's root span.
-Worker events travel home either inside the task outcome (in-process
-execution) or over the telemetry bus (:mod:`repro.obs.bus`), and
-:meth:`BuildTrace.merge_bus` folds the drained records — events and
-summed counters — into the one merged document.
+Worker events and counters travel home inside the task outcome, serial
+or across the process pool alike, and :meth:`BuildTrace.merge` folds
+them — events and summed counters — into the one merged document.
 
 :class:`BuildTrace` extends :class:`repro.obs.TraceDocument`, the same
 base the runtime's :class:`repro.obs.RunTrace` uses, so build and run
@@ -134,7 +133,7 @@ class BuildTrace(TraceDocument):
 
     def __init__(self, context: Optional[TraceContext] = None) -> None:
         self.events: List[TraceEvent] = []
-        #: Counters streamed from subsystems (cache stats, bus metrics).
+        #: Counters from subsystems (cache stats, summed task counters).
         self.metrics: Dict[str, float] = {}
         self.trace_id: Optional[str] = None
         self.root_span_id: Optional[str] = None
@@ -191,7 +190,7 @@ class BuildTrace(TraceDocument):
         self._parents = [context.span_id]
         self._epoch = time.perf_counter()
 
-    def context_for(self, lane: int, bus_dir: Optional[str] = None) -> TraceContext:
+    def context_for(self, lane: int) -> TraceContext:
         """The :class:`TraceContext` to inject into the task on ``lane``."""
         if self.trace_id is None:
             raise RuntimeError("begin() the trace before handing out contexts")
@@ -200,7 +199,6 @@ class BuildTrace(TraceDocument):
             trace_id=self.trace_id,
             span_id=parent,  # type: ignore[arg-type]
             lane=lane,
-            bus_dir=bus_dir,
         )
 
     @contextmanager
@@ -272,25 +270,14 @@ class BuildTrace(TraceDocument):
                        wall_ms=wall_ms, metrics=dict(metrics or {}))
         )
 
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        """Merge events produced elsewhere (e.g. in a worker process)."""
+    def merge(
+        self, events: Iterable[TraceEvent], metrics: Dict[str, float]
+    ) -> None:
+        """Fold a task outcome in: its events, then its summed counters."""
         for event in events:
             self.record(event)
-
-    def add_metric(self, name: str, value: float) -> None:
-        """Accumulate one named counter into the trace-level metrics."""
-        self.metrics[name] = self.metrics.get(name, 0) + value
-
-    def merge_bus(self, records: Iterable[Dict[str, Any]]) -> int:
-        """Fold drained telemetry-bus records in; returns events merged."""
-        from ..obs.bus import split_records
-
-        event_dicts, metrics = split_records(records)
-        for doc in event_dicts:
-            self.record(TraceEvent.from_dict(doc))
         for name, value in metrics.items():
-            self.add_metric(name, value)
-        return len(event_dicts)
+            self.metrics[name] = self.metrics.get(name, 0) + value
 
     # -- queries -----------------------------------------------------------
 

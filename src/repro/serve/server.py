@@ -328,9 +328,7 @@ class ServeServer:
             trace.record_stage(
                 "serve", "queue.wait", queue_wait_ms
             )
-            trace.extend(outcome.events)
-            for name, value in outcome.metrics.items():
-                trace.add_metric(name, value)
+            trace.merge(outcome.events, outcome.metrics)
             trace.finish()
             response["trace"] = trace.to_dict()
         await self._send(job.writer, job.lock, response)

@@ -22,8 +22,7 @@ Tracing: the coordinator hands the task a
 of the 16-bit lane space, so nested per-module / per-case sub-task lanes
 ``1..N`` can never collide with it).  The worker adopts it, wraps the
 whole request in one ``request.<kind>`` span, and ships events + metrics
-home inside the outcome — jobs inside a worker are always serial, so no
-telemetry bus is needed at this level.
+home inside the outcome, the one way every task's spans come home.
 """
 
 from __future__ import annotations

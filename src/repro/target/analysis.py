@@ -17,7 +17,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..obs import get_tracer
 from .isa import Program
 from .profiles import ISAProfile
 
@@ -77,19 +76,6 @@ def successors(
 
 def analyze_program(program: Program, profile: ISAProfile) -> PathAnalysis:
     """Assemble ``program`` and measure exact size and min/max cycles."""
-    with get_tracer().span(
-        "target.analyze", module=program.name, isa=profile.name
-    ) as span:
-        result = _analyze(program, profile)
-        span.set(
-            code_size=result.code_size,
-            min_cycles=result.min_cycles,
-            max_cycles=result.max_cycles,
-        )
-    return result
-
-
-def _analyze(program: Program, profile: ISAProfile) -> PathAnalysis:
     size = program.assemble(profile)
     n = len(program.instructions)
     if n == 0:

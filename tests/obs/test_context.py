@@ -1,8 +1,11 @@
-"""Trace context: id formats, lane partitioning, serialization."""
+"""Trace context: id formats, lane partitioning, and the hand-off to tasks."""
+
+import pickle
 
 import pytest
 
 from repro.obs import TraceContext, make_span_id, new_trace_id, span_id_lane
+from repro.pipeline import BuildTrace
 
 
 def test_trace_id_is_32_hex():
@@ -33,21 +36,32 @@ def test_span_ids_are_unique_across_lanes():
     assert len(ids) == 4 * 49
 
 
-def test_context_round_trips_through_dict():
-    ctx = TraceContext(
-        trace_id=new_trace_id(),
-        span_id=make_span_id(0, 1),
-        lane=5,
-        bus_dir="/tmp/bus",
+
+def test_context_survives_pickle():
+    """Contexts cross the process pool by pickle, unchanged."""
+    context = TraceContext(
+        trace_id=new_trace_id(), span_id=make_span_id(0, 1), lane=7
     )
-    clone = TraceContext.from_dict(ctx.to_dict())
-    assert clone == ctx
+    back = pickle.loads(pickle.dumps(context))
+    assert back == context
+    worker = BuildTrace(context=back)
+    event = worker.record_stage("m", "codegen", 1.0)
+    assert worker.trace_id == context.trace_id
+    assert event.parent_id == context.span_id
+    assert span_id_lane(event.span_id) == 7
 
 
-def test_child_context_keeps_trace_and_switches_lane():
-    ctx = TraceContext(trace_id=new_trace_id(), span_id=make_span_id(0, 1), lane=0)
-    child = ctx.child(lane=3, bus_dir="/tmp/b")
-    assert child.trace_id == ctx.trace_id
-    assert child.span_id == ctx.span_id  # parent span carried over
-    assert child.lane == 3
-    assert child.bus_dir == "/tmp/b"
+def test_context_for_needs_a_begun_trace():
+    with pytest.raises(RuntimeError, match="begin"):
+        BuildTrace().context_for(1)
+
+
+def test_context_for_links_to_the_innermost_open_span():
+    trace = BuildTrace()
+    root = trace.begin("build")
+    assert trace.context_for(1) == TraceContext(
+        trace_id=trace.trace_id, span_id=root, lane=1
+    )
+    with trace.span("sys", "schedule") as span:
+        assert trace.context_for(2).span_id == span.span_id
+    assert trace.context_for(3).span_id == root

@@ -1,4 +1,4 @@
-"""The observability core: spans, metrics, and the trace-document base."""
+"""The observability core: metrics and the trace-document base."""
 
 import json
 
@@ -8,59 +8,8 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     TraceDocument,
-    Tracer,
-    get_tracer,
     read_trace_file,
-    set_tracer,
 )
-
-
-class TestTracer:
-    def test_span_records_name_attrs_and_wall(self):
-        tracer = Tracer()
-        with tracer.span("work", module="m1") as span:
-            span.set(nodes=12)
-        assert len(tracer.spans) == 1
-        recorded = tracer.spans[0]
-        assert recorded.name == "work"
-        assert recorded.attrs == {"module": "m1", "nodes": 12}
-        assert recorded.wall_ms >= 0.0
-
-    def test_disabled_tracer_returns_shared_noop_span(self):
-        tracer = Tracer(enabled=False)
-        first = tracer.span("a")
-        second = tracer.span("b", x=1)
-        assert first is second  # no per-call allocation
-        with first as span:
-            span.set(anything=True)
-        assert tracer.spans == []
-
-    def test_instant_and_by_name(self):
-        tracer = Tracer()
-        tracer.instant("mark", n=1)
-        with tracer.span("mark"):
-            pass
-        with tracer.span("other"):
-            pass
-        assert len(tracer.by_name("mark")) == 2
-        assert [s["name"] for s in tracer.to_dict()["spans"]] == [
-            "mark", "mark", "other",
-        ]
-
-    def test_module_tracer_swap_and_default_disabled(self):
-        original = get_tracer()
-        assert not original.enabled  # permanent hooks default to off
-        try:
-            mine = set_tracer(Tracer(enabled=True))
-            assert get_tracer() is mine
-        finally:
-            set_tracer(original)
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.instant("x")
-        tracer.clear()
-        assert tracer.spans == []
 
 
 class TestMetrics:

@@ -4,9 +4,12 @@ The tentpole guarantees under test:
 
 * a ``--jobs 2`` build emits ONE merged ``repro-build-trace/v1`` document
   whose span links form a rooted, acyclic tree reaching every worker lane;
-* serial and parallel builds of the same network are *structurally*
-  byte-identical — same events, same ids, same links — once wall-clock
-  fields (``wall_ms``/``t_ms``/``pid``) are stripped;
+* serial and parallel builds, fuzz campaigns and fleet runs are
+  *structurally* byte-identical — same events, same ids, same links, same
+  summed counters — once wall-clock fields (``wall_ms``/``t_ms``/``pid``)
+  are stripped;
+* every module's ``compile``/``codegen``/``estimate``/``measure`` stage
+  is recorded once, on that module's lane;
 * the Perfetto/Chrome export round-trips the per-worker lanes as named
   thread tracks.
 """
@@ -15,7 +18,9 @@ import json
 
 import pytest
 
-from repro.apps import abp_network
+from repro.apps import abp_network, dashboard_network
+from repro.difftest import FuzzConfig, run_fuzz
+from repro.fleet import FleetConfig, run_fleet
 from repro.flow import build_system
 from repro.obs import (
     span_id_lane,
@@ -25,9 +30,33 @@ from repro.obs import (
 from repro.pipeline import BuildTrace
 
 
-def _traced_build(jobs):
+#: Each traced run kind, and the summed counters its trace must carry.
+RUNS = {
+    "build": (
+        lambda trace, jobs: build_system(abp_network(), trace=trace, jobs=jobs),
+        set(),
+    ),
+    "fuzz": (
+        lambda trace, jobs: run_fuzz(
+            FuzzConfig(cases=3, jobs=jobs, smoke=True, shrink=False),
+            trace=trace,
+        ),
+        {"difftest_divergences"},
+    ),
+    "fleet": (
+        lambda trace, jobs: run_fleet(
+            dashboard_network(),
+            FleetConfig(instances=64, lanes_per_shard=32, steps=20, jobs=jobs),
+            trace=trace,
+        ),
+        {"fleet_reactions", "fleet_lost_events"},
+    ),
+}
+
+
+def _traced_run(kind, jobs):
     trace = BuildTrace()
-    build_system(abp_network(), trace=trace, jobs=jobs)
+    RUNS[kind][0](trace, jobs)
     return trace
 
 
@@ -52,12 +81,12 @@ def _canonical(doc):
 
 @pytest.fixture(scope="module")
 def serial_trace():
-    return _traced_build(jobs=1)
+    return _traced_run("build", jobs=1)
 
 
 @pytest.fixture(scope="module")
 def parallel_trace():
-    return _traced_build(jobs=2)
+    return _traced_run("build", jobs=2)
 
 
 def test_parallel_build_emits_one_valid_merged_trace(parallel_trace):
@@ -85,14 +114,38 @@ def test_every_worker_lane_reaches_the_root(parallel_trace):
             span = by_id[span]["parent_id"]
 
 
-def test_serial_and_parallel_traces_are_structurally_identical(
-    serial_trace, parallel_trace
-):
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_serial_and_parallel_traces_are_structurally_identical(kind, request):
+    if kind == "build":
+        serial_trace = request.getfixturevalue("serial_trace")
+        parallel_trace = request.getfixturevalue("parallel_trace")
+    else:
+        serial_trace = _traced_run(kind, jobs=1)
+        parallel_trace = _traced_run(kind, jobs=2)
     serial = _canonical(serial_trace.to_dict())
     parallel = _canonical(parallel_trace.to_dict())
+    assert set(serial.get("metrics", {})) == RUNS[kind][1]
+    assert len(serial_trace.lanes()) > 2  # the coordinator and 2+ tasks
     assert json.dumps(serial, sort_keys=True) == json.dumps(
         parallel, sort_keys=True
     )
+
+
+def test_every_module_stage_is_recorded_once_on_its_lane():
+    trace = BuildTrace()
+    build = build_system(dashboard_network(), trace=trace)
+    module_lanes = {
+        e.module: e.lane for e in trace.events if e.name == "module"
+    }
+    assert set(module_lanes) == set(build.modules)
+    assert len(set(module_lanes.values())) == len(module_lanes)
+    for name, lane in module_lanes.items():
+        for stage in ("compile", "codegen", "estimate", "measure"):
+            events = [
+                e for e in trace.events
+                if e.kind == "stage" and e.module == name and e.name == stage
+            ]
+            assert [e.lane for e in events] == [lane], (name, stage)
 
 
 def test_round_trip_through_json_preserves_links(parallel_trace, tmp_path):

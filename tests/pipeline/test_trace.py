@@ -30,9 +30,37 @@ class TestBuildTrace:
         worker.record_pass("m1", "order", 1.0)
         parent = BuildTrace()
         parent.record_cache("m0", "hit")
-        parent.extend(worker.events)
+        parent.merge(worker.events, {"n": 2})
+        parent.merge([], {"n": 3})
         assert parent.synthesis_pass_count == 1
         assert parent.cache_hits == 1
+        assert parent.metrics == {"n": 5}
+
+    def test_merge_keeps_worker_ids_and_links(self):
+        parent = BuildTrace()
+        root = parent.begin("build")
+        worker = BuildTrace(context=parent.context_for(3))
+        with worker.span("m1", "module"):
+            worker.record_pass("m1", "order", 1.0)
+        shipped = [
+            (e.span_id, e.parent_id, e.lane) for e in worker.events
+        ]
+        parent.merge(worker.events, {})
+        merged = [(e.span_id, e.parent_id, e.lane) for e in parent.events[1:]]
+        assert merged == shipped
+        assert merged[0][1] == root and merged[1][1] == merged[0][0]
+        # The coordinator's own sequence is untouched by merged ids.
+        own = parent.record_stage("sys", "rtos", 1.0)
+        assert own.lane == 0 and own.span_id == "0000000000000002"
+
+    def test_merge_into_flat_trace_stays_flat(self):
+        worker = BuildTrace()
+        worker.record_pass("m1", "order", 1.0)
+        parent = BuildTrace()
+        parent.merge(worker.events, {})
+        assert parent.events[0].span_id is None
+        assert "span_id" not in parent.to_dict()["events"][0]
+        assert parent.metrics == {}
 
     def test_json_document_shape(self, tmp_path):
         trace = BuildTrace()
