@@ -105,7 +105,7 @@ def test_bdd_sifting_on_real_characteristic_function(benchmark, dashboard_net):
             rf.manager,
             constraints=rf.support_constraints(),
             groups=rf.encoding.sifting_groups(),
-            metric=lambda: rf.chi.size(),
+            root=rf.chi,
         )
 
     size = benchmark(sift)

@@ -17,8 +17,8 @@ Two entry points:
   BENCH_obs.json] [--smoke]``) — the machine-readable ``repro-obs-bench/v1``
   figures, gated against the ``obs.*`` entries of
   ``results/bench_history_reference.json``: causal build-trace overhead
-  (obs-on vs obs-off wall clock, the median ratio of interleaved build
-  pairs) and merged ``--jobs 2`` trace shape/size.
+  (obs-on vs obs-off process CPU time, the median ratio of interleaved
+  build pairs) and merged ``--jobs 2`` trace shape/size.
 
 Smoke mode (``--smoke`` or ``REPRO_BENCH_SMOKE``): shorter scenario,
 fewer repeats and build pairs.
@@ -138,16 +138,18 @@ def _bench_build_overhead(pairs):
 
     Bare and traced builds run in interleaved pairs, alternating which
     goes first, so machine drift lands on both sides; the overhead is
-    the median of the per-pair traced/bare ratios.
+    the median of the per-pair traced/bare ratios.  Each build is timed
+    in this process's CPU time, which other tenants of a shared machine
+    do not inflate the way they inflate wall time.
     """
     from repro.apps import dashboard_network
     from repro.flow import build_system
     from repro.pipeline import BuildTrace
 
     def timed(traced):
-        start = time.perf_counter()
+        start = time.process_time()
         build_system(dashboard_network(), trace=BuildTrace() if traced else None)
-        return time.perf_counter() - start
+        return time.process_time() - start
 
     timed(False)  # warm caches (imports, calibration) outside the timer
     bare, traced = [], []
@@ -160,8 +162,8 @@ def _bench_build_overhead(pairs):
             traced.append(timed(True))
     ratio = statistics.median(t / b for b, t in zip(bare, traced))
     return {
-        "bare_wall_ms": round(statistics.median(bare) * 1000, 3),
-        "traced_wall_ms": round(statistics.median(traced) * 1000, 3),
+        "bare_cpu_ms": round(statistics.median(bare) * 1000, 3),
+        "traced_cpu_ms": round(statistics.median(traced) * 1000, 3),
         "overhead_pct": round((ratio - 1.0) * 100.0, 2),
     }
 

@@ -4,8 +4,10 @@
 the dashboard ... POLIS uses ESTEREL to process the CFSMs individually,
 while the ESTEREL compiler processes the whole design into a single FSM."
 
-Columns per flow: code size (bytes), simulated cycles on a stimulus file,
-and total elapsed synthesis time.  Flows:
+Columns per flow: code size (bytes) and simulated cycles on a stimulus
+file.  The committed table holds only these deterministic columns, so a
+rerun reproduces it byte for byte; each flow's elapsed synthesis time is
+printed to stdout alongside.  Flows:
 
 * POLIS       — per-CFSM BDD-ordered synthesis (this paper);
 * ESTEREL     — whole design composed into a single FSM, then synthesized;
@@ -95,16 +97,16 @@ def test_table3_flows(benchmark, dashboard_net):
         "Table III — comparison of software synthesis with ESTEREL",
         f"(dashboard network, K11 target, stimulus file of {len(_stimulus_trace())} events)",
         "",
-        f"{'flow':12s} {'size (B)':>9s} {'sim cycles':>11s} {'synth (s)':>10s}",
+        f"{'flow':12s} {'size (B)':>9s} {'sim cycles':>11s}",
     ]
     by_name = {}
     for flow in flows:
         by_name[flow.flow] = flow
-        lines.append(
-            f"{flow.flow:12s} {flow.code_size:9d} {sim[flow.flow]:11d} "
-            f"{flow.synthesis_seconds:10.2f}"
-        )
+        lines.append(f"{flow.flow:12s} {flow.code_size:9d} {sim[flow.flow]:11d}")
     write_report("table3_esterel", lines)
+    print("synthesis time (wall clock, not part of the table):")
+    for flow in flows:
+        print(f"  {flow.flow:12s} {flow.synthesis_seconds:7.2f} s")
 
     polis, esterel, opt = (
         by_name["POLIS"], by_name["ESTEREL"], by_name["ESTEREL_OPT"],

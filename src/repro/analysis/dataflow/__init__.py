@@ -9,7 +9,7 @@ graph/lattice primitives.
 """
 
 from .cycles import PathBounds, path_bounds
-from .framework import Dataflow, DataflowDivergence, reverse_edges
+from .framework import Dataflow, DataflowDivergence, reverse_edges, reverse_postorder
 from .intervals import BOOL, EMPTY, TOP, Interval, join_all
 from .liveness import dead_stores, max_live, solve_liveness
 
@@ -17,6 +17,7 @@ __all__ = [
     "Dataflow",
     "DataflowDivergence",
     "reverse_edges",
+    "reverse_postorder",
     "Interval",
     "TOP",
     "BOOL",

@@ -2,8 +2,9 @@
 
 The engine is the classic formulation: a join-semilattice of abstract
 values, a directed graph whose edges carry annotations, and a monotone
-transfer function applied per edge.  ``solve`` iterates a FIFO worklist
-until the least fixpoint is reached.  Backward problems are solved by
+transfer function applied per edge.  ``solve`` iterates a worklist,
+always taking the pending node earliest in reverse postorder, until the
+least fixpoint is reached.  Backward problems are solved by
 running forward over :func:`reverse_edges`.
 
 This package is the repository's first ``mypy --strict`` typed island:
@@ -14,21 +15,24 @@ plain node/edge structures before calling in.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from typing import (
     Callable,
     Dict,
     Generic,
     Hashable,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
 )
 
-__all__ = ["DataflowDivergence", "Dataflow", "reverse_edges"]
+__all__ = ["DataflowDivergence", "Dataflow", "reverse_edges", "reverse_postorder"]
 
 N = TypeVar("N", bound=Hashable)  # node identity
 E = TypeVar("E")  # edge annotation
@@ -73,6 +77,10 @@ class Dataflow(Generic[N, E, V]):
 
         Returns the value attached to every *reached* node; nodes the
         seeds cannot flow into are absent (their value is bottom).  The
+        worklist pops nodes in reverse postorder from the seeds, so on a
+        DAG every node is visited after all its predecessors and the
+        fixpoint takes one sweep; on a cyclic graph the order only
+        changes how many sweeps it takes, not the fixpoint.  The
         default step budget is generous for any finite-height lattice on
         a DAG; exceeding it raises :class:`DataflowDivergence` rather
         than spinning, so callers can degrade the analysis to a finding.
@@ -81,8 +89,12 @@ class Dataflow(Generic[N, E, V]):
         if max_steps is None:
             max_steps = 16 * (len(edges) + 1) * (n_edges + 1) + 1024
         values: Dict[N, V] = dict(init)
-        work: deque[N] = deque(init)
-        queued = set(init)
+        order = reverse_postorder(edges, init)
+        rank = {node: index for index, node in enumerate(order)}
+        # A heap of RPO ranks; each node has its own rank, so the pop order
+        # is fully determined by the graph and the seed order.
+        work = sorted(rank[node] for node in init)
+        queued = set(work)
         steps = 0
         while work:
             steps += 1
@@ -90,8 +102,9 @@ class Dataflow(Generic[N, E, V]):
                 raise DataflowDivergence(
                     f"no fixpoint after {max_steps} worklist steps"
                 )
-            node = work.popleft()
-            queued.discard(node)
+            index = heapq.heappop(work)
+            queued.discard(index)
+            node = order[index]
             value = values[node]
             for succ, annotation in edges.get(node, ()):
                 out = self.transfer(node, succ, annotation, value)
@@ -99,10 +112,41 @@ class Dataflow(Generic[N, E, V]):
                 new = out if old is None else self.join(old, out)
                 if old is None or not self.equal(old, new):
                     values[succ] = new
-                    if succ not in queued:
-                        queued.add(succ)
-                        work.append(succ)
+                    succ_index = rank[succ]
+                    if succ_index not in queued:
+                        queued.add(succ_index)
+                        heapq.heappush(work, succ_index)
         return values
+
+
+def reverse_postorder(edges: EdgeMap[N, E], roots: Iterable[N]) -> List[N]:
+    """Nodes reachable from ``roots`` in reverse postorder of a DFS.
+
+    The DFS starts from each root in turn and follows successors in edge
+    order.  On a DAG the result is a topological order.
+    """
+    none: Sequence[Tuple[N, E]] = ()
+    visited: Set[N] = set()
+    post: List[N] = []
+    for root in roots:
+        if root in visited:
+            continue
+        visited.add(root)
+        stack: List[Tuple[N, Iterator[Tuple[N, E]]]] = [
+            (root, iter(edges.get(root, none)))
+        ]
+        while stack:
+            node, succs = stack[-1]
+            for succ, _ in succs:
+                if succ not in visited:
+                    visited.add(succ)
+                    stack.append((succ, iter(edges.get(succ, none))))
+                    break
+            else:
+                stack.pop()
+                post.append(node)
+    post.reverse()
+    return post
 
 
 def reverse_edges(edges: EdgeMap[N, E]) -> Dict[N, List[Tuple[N, E]]]:

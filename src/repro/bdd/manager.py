@@ -72,7 +72,7 @@ from typing import (
     Tuple,
 )
 
-__all__ = ["BddManager", "Function", "FALSE_ID", "TRUE_ID"]
+__all__ = ["BddManager", "Function", "SizeTracker", "FALSE_ID", "TRUE_ID"]
 
 # Terminal edges: both point at node slot 0; the complement bit alone
 # distinguishes them.  TRUE is the regular edge so that a positive cube's
@@ -1940,3 +1940,112 @@ class BddManager:
             assert fields <= valid, "quant cache references a recycled slot"
         for nid in self._support_cache:
             assert nid in valid, "support cache references a recycled slot"
+
+
+class SizeTracker:
+    """The semantic size of one root, kept across level swaps.
+
+    ``SizeTracker(manager, root).size()`` equals ``manager.size(root)``
+    as long as every level swap was reported with :meth:`touch`, but after
+    reordering it recounts only the levels that changed.  An adjacent-level swap rewrites nodes at the two
+    swapped levels only; above them every node keeps its children, and
+    below them the set of subfunctions is the set of cofactors of ``root``
+    by the variables above — which a permutation of those variables does
+    not change.  So the reachable edges outside the swapped band stay
+    exactly what they were.
+
+    The tracker holds the root's reachable edges bucketed by level, each
+    edge's children as last seen, and per edge the number of reachable
+    parents referencing it (the root holds one reference).  A caller that
+    reorders reports the rewritten levels with :meth:`touch`; the next
+    :meth:`size` drops the band's old edges (and their references), takes
+    as entries the old band edges still referenced from above the band,
+    and walks the new structure from them down to the band's bottom level.
+    The recount is lazy: any number of touches between two reads costs
+    one recount of their union.  Edges are stable across
+    :meth:`BddManager.collect`, so a tracker outlives collections.
+    """
+
+    __slots__ = ("_manager", "_levels", "_kids", "_refs", "_nodes",
+                 "_terminals", "_dirty_lo", "_dirty_hi")
+
+    def __init__(self, manager: BddManager, root: Function) -> None:
+        self._manager = manager
+        self._levels: List[List[int]] = [[] for _ in range(manager.num_vars)]
+        self._kids: Dict[int, Tuple[int, int]] = {}
+        self._refs: Dict[int, int] = {root.id: 1}
+        self._nodes = 0
+        self._dirty_lo = manager.num_vars
+        self._dirty_hi = -1
+        if root.id > 1:
+            self._nodes = self._walk([root.id], manager.num_vars - 1)
+        # The reachable terminal edges (TRUE and/or FALSE) never change.
+        self._terminals = (TRUE_ID in self._refs) + (FALSE_ID in self._refs)
+
+    def touch(self, lo: int, hi: int) -> None:
+        """Record that levels ``lo..hi`` (inclusive) may have been rewritten."""
+        if lo < self._dirty_lo:
+            self._dirty_lo = lo
+        if hi > self._dirty_hi:
+            self._dirty_hi = hi
+
+    def size(self) -> int:
+        """Distinct subfunctions reachable from the root (see ``size``)."""
+        if self._dirty_hi >= 0:
+            self._recount(self._dirty_lo, self._dirty_hi)
+            self._dirty_lo = self._manager.num_vars
+            self._dirty_hi = -1
+        return self._nodes + self._terminals
+
+    def _recount(self, top: int, bottom: int) -> None:
+        levels, kids, refs = self._levels, self._kids, self._refs
+        old: List[int] = []
+        for level in range(top, bottom + 1):
+            if levels[level]:
+                old.extend(levels[level])
+                levels[level] = []
+        # Withdraw the old band's references; what remains on a band edge
+        # comes from above the band (or is the root's own reference).
+        for edge in old:
+            k0, k1 = kids.pop(edge)
+            refs[k0] -= 1
+            refs[k1] -= 1
+        entries: List[int] = []
+        for edge in old:
+            if refs[edge]:
+                entries.append(edge)
+            else:
+                del refs[edge]
+        self._nodes += self._walk(entries, bottom) - len(old)
+
+    def _walk(self, stack: List[int], bottom: int) -> int:
+        """Record every edge reachable from ``stack`` down to level ``bottom``.
+
+        The ``stack`` edges must already hold their references; returns
+        the number of edges recorded.  Edges below ``bottom`` only gain a
+        reference — they are already recorded.
+        """
+        manager = self._manager
+        var_arr, lo_arr, hi_arr = manager._var, manager._lo, manager._hi
+        level_of = manager._level_of_var
+        levels, kids, refs = self._levels, self._kids, self._refs
+        found = len(stack)
+        while stack:
+            edge = stack.pop()
+            nid = edge >> 1
+            c = edge & 1
+            k0 = lo_arr[nid] ^ c
+            k1 = hi_arr[nid] ^ c
+            kids[edge] = (k0, k1)
+            levels[level_of[var_arr[nid]]].append(edge)
+            r = refs.get(k0, 0)
+            refs[k0] = r + 1
+            if not r and k0 > 1 and level_of[var_arr[k0 >> 1]] <= bottom:
+                stack.append(k0)
+                found += 1
+            r = refs.get(k1, 0)
+            refs[k1] = r + 1
+            if not r and k1 > 1 and level_of[var_arr[k1 >> 1]] <= bottom:
+                stack.append(k1)
+                found += 1
+        return found

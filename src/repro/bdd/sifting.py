@@ -17,9 +17,13 @@ Two extensions needed by the synthesis flow are provided here:
 
 A pass is engineered around the manager's incremental bookkeeping:
 
-* it garbage-collects **exactly once, up front** — afterwards every size
-  probe is the manager's O(1) :meth:`~repro.bdd.BddManager.live_node_count`
-  (or the caller's metric), never a collection;
+* it garbage-collects **exactly once, up front** — afterwards no size
+  probe collects.  Without a ``root`` a probe is the manager's O(1)
+  :meth:`~repro.bdd.BddManager.live_node_count`.  With one it is the
+  root's semantic size, kept by a :class:`~repro.bdd.SizeTracker`: each
+  block move reports the level band it rewrote, and the next probe
+  recounts that band only.  A swap leaves the subfunctions at every other
+  level unchanged, so the count is exactly ``manager.size(root)``;
 * the *interaction matrix* (variable pairs co-occurring in some live root's
   support) is computed once per pass and threaded into every
   ``swap_levels`` call, turning swaps of non-interacting pairs into pure
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .manager import BddManager
+from .manager import BddManager, Function, SizeTracker
 
 __all__ = ["PrecedenceConstraints", "sift", "sift_to_convergence", "move_var_to_level"]
 
@@ -157,26 +161,27 @@ def sift(
     constraints: Optional[PrecedenceConstraints] = None,
     groups: Optional[Sequence[Sequence[int]]] = None,
     max_growth: float = 2.0,
-    metric=None,
+    root: Optional[Function] = None,
     profile=None,
 ) -> int:
     """One sifting pass over all variables (or groups); returns final size.
 
     Blocks are processed from largest node population to smallest; each is
     moved through its admissible range of positions and frozen where the
-    total live-node count is minimal.  The search for one block aborts early
-    once the table grows past ``max_growth`` times the best size seen.
+    size is minimal: the semantic size of ``root`` when given, else the
+    total live-node count.  The search for one block aborts early once the
+    size grows past ``max_growth`` times the best size seen.
 
     The pass performs exactly one :meth:`~repro.bdd.BddManager.collect`
-    (here, up front); every subsequent size probe rides on the manager's
-    incrementally-maintained counts.
+    (here, up front); every subsequent size probe rides on incrementally
+    maintained counts.
 
     ``profile`` (a :class:`repro.obs.SiftProfile`) receives one sample per
     block placement — the reorder-over-time trajectory.
     """
     manager.collect()
-    if metric is None:
-        metric = manager.live_node_count
+    tracker = None if root is None else SizeTracker(manager, root)
+    size_of = manager.live_node_count if tracker is None else tracker.size
     # One interaction matrix per pass: swaps between variables that co-occur
     # in no live root's support reduce to O(1) level-map updates.
     interaction = manager.interaction_pairs()
@@ -202,16 +207,19 @@ def sift(
         if lo_idx == hi_idx == index:
             continue
 
-        best_size = metric()
+        best_size = size_of()
         best_pos = current = index
 
         def move(direction: int) -> None:
             nonlocal current
             neighbor = blocks[current + direction]
-            if direction > 0:
-                _swap_adjacent_blocks(manager, block, neighbor, interaction)
-            else:
-                _swap_adjacent_blocks(manager, neighbor, block, interaction)
+            top, bottom = (block, neighbor) if direction > 0 else (neighbor, block)
+            _swap_adjacent_blocks(manager, top, bottom, interaction)
+            if tracker is not None:
+                # The swaps rewrote only the levels the two blocks occupy;
+                # ``bottom`` has moved up to the first of them.
+                first = min(manager.level_of(var) for var in bottom)
+                tracker.touch(first, first + len(top) + len(bottom) - 1)
             blocks[current], blocks[current + direction] = (
                 blocks[current + direction],
                 blocks[current],
@@ -225,7 +233,7 @@ def sift(
         # Phase 1: sift down towards hi_idx.
         while current < hi_idx:
             move(+1)
-            size = metric()
+            size = size_of()
             if size < best_size:
                 best_size, best_pos = size, current
             elif size > best_size * max_growth:
@@ -233,7 +241,7 @@ def sift(
         # Phase 2: sift up towards lo_idx.
         while current > lo_idx:
             move(-1)
-            size = metric()
+            size = size_of()
             if size < best_size:
                 best_size, best_pos = size, current
             elif size > best_size * max_growth:
@@ -245,12 +253,12 @@ def sift(
             move(-1)
         if profile is not None:
             profile.sample(
-                "block", metric(), manager.swap_count, manager.counters()
+                "block", size_of(), manager.swap_count, manager.counters()
             )
 
     if constraints is not None:
         assert constraints.is_satisfied(manager), "sifting violated constraints"
-    return metric()
+    return size_of()
 
 
 def sift_to_convergence(
@@ -258,24 +266,25 @@ def sift_to_convergence(
     constraints: Optional[PrecedenceConstraints] = None,
     groups: Optional[Sequence[Sequence[int]]] = None,
     max_passes: int = 8,
-    metric=None,
+    root: Optional[Function] = None,
     profile=None,
 ) -> int:
-    """Repeat sifting passes until the size metric stops improving.
+    """Repeat sifting passes until the size stops improving.
 
-    ``profile`` collects the start/per-pass/end size-and-swap trajectory.
+    The size is that of :func:`sift`: ``root``'s semantic size when given,
+    else the live-node count.  ``profile`` collects the start/per-pass/end
+    size-and-swap trajectory.
     """
     manager.collect()
-    if metric is None:
-        metric = manager.live_node_count
-    size = metric()
+    size_of = manager.live_node_count if root is None else root.size
+    size = size_of()
     if profile is not None:
         profile.start(size, manager.swap_count, manager.counters())
     try:
         for _ in range(max_passes):
             new_size = sift(
                 manager, constraints=constraints, groups=groups,
-                metric=metric, profile=profile,
+                root=root, profile=profile,
             )
             if profile is not None:
                 profile.sample(
@@ -288,5 +297,5 @@ def sift_to_convergence(
     finally:
         if profile is not None:
             profile.sample(
-                "end", metric(), manager.swap_count, manager.counters()
+                "end", size_of(), manager.swap_count, manager.counters()
             )

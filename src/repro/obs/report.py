@@ -584,7 +584,7 @@ def render_obs_bench(doc: Dict[str, Any], top: int = 10) -> str:
     build, trace = doc["build"], doc["trace"]
     return "\n".join([
         _rule("observability bench" + (" (smoke)" if doc.get("smoke") else "")),
-        f"build: bare {build['bare_wall_ms']:.1f} ms, traced {build['traced_wall_ms']:.1f} ms "
+        f"build: bare {build['bare_cpu_ms']:.1f} ms, traced {build['traced_cpu_ms']:.1f} ms CPU "
         f"({build['overhead_pct']:+.2f}%)",
         f"merged --jobs 2 trace: {trace['events']} events on {trace['lanes']} lanes, "
         f"{trace['json_bytes']:,} bytes",

@@ -413,7 +413,7 @@ _OBS_BENCH = obj(
         "format": const(OBS_BENCH_FORMAT),
         "smoke": BOOL,
         "build": obj(
-            {**dict.fromkeys(("bare_wall_ms", "traced_wall_ms"), NON_NEGATIVE),
+            {**dict.fromkeys(("bare_cpu_ms", "traced_cpu_ms"), NON_NEGATIVE),
              "overhead_pct": NUMBER}
         ),
         "trace": obj(dict.fromkeys(("events", "lanes", "json_bytes"), COUNT)),

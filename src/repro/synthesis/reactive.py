@@ -126,7 +126,7 @@ class ReactiveFunction:
             constraints=constraints,
             groups=self.encoding.sifting_groups(),
             max_passes=max_passes,
-            metric=lambda: self.chi.size(),
+            root=self.chi,
             profile=profile,
         )
 

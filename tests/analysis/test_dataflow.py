@@ -15,6 +15,7 @@ from repro.analysis.dataflow import (
     max_live,
     path_bounds,
     reverse_edges,
+    reverse_postorder,
     solve_liveness,
 )
 
@@ -70,6 +71,37 @@ class TestFramework:
         )
         with pytest.raises(DataflowDivergence):
             analysis.solve(edges, {0: 0})
+
+    def test_reverse_postorder_is_topological_on_a_dag(self):
+        edges = {0: [(2, None), (1, None)], 1: [(3, None)], 2: [(1, None)],
+                 3: [], 4: [(3, None)]}
+        order = reverse_postorder(edges, [0])
+        assert order == [0, 2, 1, 3]  # 4 is unreachable from the seed
+        assert reverse_postorder(edges, [4, 0])[-1] == 3
+
+    def test_dag_converges_in_one_sweep(self):
+        # A chain 0 -> 1 -> ... -> 20 plus shortcuts 0 -> k listed deepest
+        # first: a FIFO worklist reaches every k by its shortcut before its
+        # chain predecessor and revisits it; reverse postorder transfers
+        # along each edge exactly once.
+        edges = {0: [(k, 0) for k in range(20, 1, -1)] + [(1, 1)]}
+        for i in range(1, 20):
+            edges[i] = [(i + 1, 1)]
+        edges[20] = []
+        transfers = []
+
+        def transfer(n, s, cost, v):
+            transfers.append((n, s))
+            return (v[0] + cost, v[1] + cost)
+
+        analysis = Dataflow(
+            bottom=lambda: (float("inf"), float("-inf")),
+            join=lambda a, b: (min(a[0], b[0]), max(a[1], b[1])),
+            transfer=transfer,
+        )
+        solution = analysis.solve(edges, {0: (0, 0)})
+        assert len(transfers) == sum(len(out) for out in edges.values())
+        assert solution[20] == (0, 20)
 
     def test_reverse_edges(self):
         edges = {0: [(1, "x")], 1: [(2, "y")], 2: []}

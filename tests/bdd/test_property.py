@@ -102,7 +102,7 @@ def test_sifting_preserves_semantics_and_never_grows(tree):
     f = build_bdd(tree, m)
     expected = [eval_py(tree, bits) for bits in all_bits()]
     before = f.size()
-    sift_to_convergence(m, metric=lambda: f.size())
+    sift_to_convergence(m, root=f)
     assert f.size() <= before
     assert [f(bits) for bits in all_bits()] == expected
 

@@ -179,10 +179,10 @@ class TestSifting:
         sift_to_convergence(m, groups=[[1, 2]])
         assert m.level_of(1) < m.level_of(2)
 
-    def test_sift_with_custom_metric(self):
+    def test_sift_by_root_size(self):
         m, vs, f = self._interleaved_and_or()
         apply_order(m, [0, 2, 4, 6, 1, 3, 5, 7])
-        size = sift_to_convergence(m, metric=lambda: f.size())
+        size = sift_to_convergence(m, root=f)
         assert size == f.size() == 10
 
     def test_single_pass_sift_returns_size(self):
